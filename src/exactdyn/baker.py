@@ -7,6 +7,10 @@ rule eps / 2^n, and that bound is tight: dyadic starting points a/2^n and
 a'/2^n are within 1/2^n of each other yet land exactly on a and a' after
 n steps.  ``sensitivity_witness`` constructs that pair for any requested
 closeness and any two target positions, as an exactly checkable record.
+
+``iterate`` and ``orbit`` run on the integer fold of ``grid``, reading
+p/q as grid index p at resolution q; ``iterate`` cuts through the first
+cycle it meets, so n may be astronomically large.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import grid
 from .errors import DomainError
-from .rational import HALF, clamp_unit, format_rational, require_unit_interval
+from .rational import HALF, format_rational, require_unit_interval
 from .realfn import UNIT, RealFn
 
 
@@ -28,20 +33,19 @@ def iterate(x: Fraction, n: int) -> Fraction:
     """n-fold step; exact, n = 0 returns x unchanged."""
     if n < 0:
         raise DomainError("step count must be non-negative")
-    require_unit_interval(x, "position")
-    for _ in range(n):
-        x = 2 * x if x <= HALF else 2 - 2 * x
-    return x
+    q = require_unit_interval(x, "position").denominator
+    return Fraction(grid.advance(x.numerator, lambda i: grid.fold(i, q), n), q)
 
 
 def orbit(x: Fraction, n: int) -> list[Fraction]:
     """[x, step(x), ..., step^n(x)] as exact rationals."""
     if n < 0:
         raise DomainError("step count must be non-negative")
-    points = [require_unit_interval(x, "position")]
+    q = require_unit_interval(x, "position").denominator
+    indices = [x.numerator]
     for _ in range(n):
-        points.append(step(points[-1]))
-    return points
+        indices.append(grid.fold(indices[-1], q))
+    return [Fraction(i, q) for i in indices]
 
 
 def as_real_fn(n: int) -> RealFn:
@@ -56,7 +60,7 @@ def as_real_fn(n: int) -> RealFn:
         raise DomainError("step count must be non-negative")
     scale = 2**n
     return RealFn(
-        approx=lambda eps, q: iterate(clamp_unit(q), n),
+        approx=lambda eps, q: iterate(UNIT.clamp(q), n),
         modulus=lambda eps: eps / scale,
         domain=UNIT,
     )

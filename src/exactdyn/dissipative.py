@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .rational import HALF, ONE, ZERO, clamp_unit, format_rational, require_unit_interval
+from .rational import HALF, ONE, ZERO, format_rational, require_unit_interval
 from .realfn import UNIT, RealFn
 
 # beyond this, iterates are tracked by rounded two-sided bounds instead of
@@ -97,7 +97,7 @@ def as_real_fn(n: int) -> RealFn:
         raise DomainError("date must be non-negative")
     scale = 2 ** (n + 1)
     return RealFn(
-        approx=lambda eps, q: iterate_approx(clamp_unit(q), n, eps / 2),
+        approx=lambda eps, q: iterate_approx(UNIT.clamp(q), n, eps / 2),
         modulus=lambda eps: eps / scale,
         domain=UNIT,
     )

@@ -23,7 +23,7 @@ subtraction, sign) ships with the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Union
@@ -68,6 +68,7 @@ class Comp:
 
     outer: RecFn
     inner: tuple[RecFn, ...]
+    _arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inner", tuple(self.inner))
@@ -80,6 +81,7 @@ class Comp:
         arities = {arity(g) for g in self.inner}
         if len(arities) != 1:
             raise IllFormedError(f"comp: inner terms disagree on arity: {sorted(arities)}")
+        object.__setattr__(self, "_arity", arities.pop())
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,14 @@ class PrimRec:
 
     base: RecFn
     step: RecFn
+    _arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if arity(self.step) != arity(self.base) + 2:
             raise IllFormedError(
                 f"primrec: step arity {arity(self.step)} != base arity {arity(self.base)} + 2"
             )
+        object.__setattr__(self, "_arity", arity(self.base) + 1)
 
 
 @dataclass(frozen=True)
@@ -101,25 +105,26 @@ class Mu:
     """x -> least y with body(x, y) = 0, all smaller y giving nonzero."""
 
     body: RecFn
+    _arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if arity(self.body) < 1:
             raise IllFormedError("mu: body must have arity >= 1")
+        object.__setattr__(self, "_arity", arity(self.body) - 1)
 
 
 def arity(term: RecFn) -> int:
-    """Number of arguments the denoted partial function takes."""
+    """Number of arguments the denoted partial function takes.
+
+    Comp, PrimRec and Mu compute theirs once, when constructed.
+    """
     t = type(term)
     if t is Proj or t is Zero:
         return term.p
     if t is Succ:
         return 1
-    if t is Comp:
-        return arity(term.inner[0])
-    if t is PrimRec:
-        return arity(term.base) + 1
-    if t is Mu:
-        return arity(term.body) - 1
+    if t is Comp or t is PrimRec or t is Mu:
+        return term._arity
     raise IllFormedError(f"not a term: {term!r}")
 
 

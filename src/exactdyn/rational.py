@@ -58,15 +58,6 @@ def require_unit_interval(q: Fraction, what: str = "value") -> Fraction:
     return q
 
 
-def clamp_unit(q: Fraction) -> Fraction:
-    """Clamp to [0,1]; used by approximation rules fed slightly-off inputs."""
-    if q < 0:
-        return ZERO
-    if q > 1:
-        return ONE
-    return q
-
-
 def truncate_decimal(q: Fraction, digits: int) -> str:
     """Decimal string of q truncated toward zero to `digits` places."""
     if digits < 0:

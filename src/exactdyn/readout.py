@@ -12,14 +12,20 @@ closed endpoints; a readout is a successor precisely when its cell meets
 that image, and single shared points count (the fold point 1/2 maps to 1
 exactly).  Sampling alone would miss such measure-zero witnesses, which
 is why the endpoints are bookkept instead of sampled.
+
+The readouts reachable in n steps always form one run of consecutive
+readouts, so ``reach`` carries just the run's two ends and cuts through
+the first cycle it meets; n may be astronomically large.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from . import grid
 from .errors import InvalidStateError
 from .rational import HALF, ONE, ZERO, require_unit_interval
 
@@ -104,14 +110,13 @@ class Readout:
 
 
 def parse_readout(text: str, digits: int) -> Readout:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidStateError(f"not a readout: {text!r}") from exc
-    scaled = value * 10**digits
-    if scaled.denominator != 1:
+    """Read back exactly the text a readout prints: one digit, a point, d digits."""
+    m = re.fullmatch(r"([0-9])\.([0-9]*)", text)
+    if m is None:
+        raise InvalidStateError(f"not a readout: {text!r}")
+    if len(m.group(2)) != digits:
         raise InvalidStateError(f"{text!r} is not a {digits}-digit readout")
-    return Readout(digits, int(scaled))
+    return Readout(digits, int(m.group(1) + m.group(2)))
 
 
 def measure(x: Fraction, digits: int) -> Readout:
@@ -181,16 +186,18 @@ def _candidate_indices(image: Span, digits: int) -> range:
     return range(first, last + 1)
 
 
+def _meetings(m: Readout) -> Iterator[tuple[int, Span, bool]]:
+    """(k, overlap, rising?) for each branch image of m's cell meeting cell k."""
+    for image, rising in _branch_images(m.cell()):
+        for k in _candidate_indices(image, m.digits):
+            overlap = image.intersect(Readout(m.digits, k).cell())
+            if overlap is not None:
+                yield k, overlap, rising
+
+
 def successors(m: Readout) -> SuccessorSet:
     """Exactly the readouts of step images of points in m's cell."""
-    found: set[int] = set()
-    for image, _ in _branch_images(m.cell()):
-        for k in _candidate_indices(image, m.digits):
-            if k in found:
-                continue
-            if image.intersect(Readout(m.digits, k).cell()) is not None:
-                found.add(k)
-    return SuccessorSet(m.digits, tuple(sorted(found)))
+    return SuccessorSet(m.digits, tuple(sorted({k for k, _, _ in _meetings(m)})))
 
 
 def successor_witnesses(m: Readout) -> dict[int, Fraction]:
@@ -201,16 +208,10 @@ def successor_witnesses(m: Readout) -> dict[int, Fraction]:
     it certifies membership constructively.
     """
     witnesses: dict[int, Fraction] = {}
-    for image, rising in _branch_images(m.cell()):
-        for k in _candidate_indices(image, m.digits):
-            if k in witnesses:
-                continue
-            overlap = image.intersect(Readout(m.digits, k).cell())
-            if overlap is None:
-                continue
+    for k, overlap, rising in _meetings(m):
+        if k not in witnesses:
             y = overlap.some_point()
-            x = y / 2 if rising else 1 - y / 2
-            witnesses[k] = x
+            witnesses[k] = y / 2 if rising else 1 - y / 2
     return witnesses
 
 
@@ -224,37 +225,24 @@ def relation_table(digits: int) -> list[tuple[int, SuccessorSet]]:
 def reach(m: Readout, n: int) -> SuccessorSet:
     """Readouts that may be observed exactly n steps after m.
 
-    Iterates the set-valued image; the sequence of reachable sets over a
-    finite state space must eventually cycle, so once a set repeats the
-    answer for any larger n is read off the cycle instead of looped to.
+    The answer is always one run lo..hi of consecutive readouts.  The
+    cells of a run form a connected set and the step is continuous, so
+    the image is connected and meets a run of cells again.  The step
+    rises left of 1/2 and falls right of it, so the image's extremes are
+    taken in the run's two end cells or in cell 10^d/2, which holds 1/2:
+    the next run is bounded by the successors of those cells alone.
+    Runs live on a finite set, so grid.advance cuts through their cycle.
     """
-    if n < 0:
-        raise InvalidStateError("step count must be non-negative")
-    cache: dict[int, tuple[int, ...]] = {}
+    half = 10**m.digits // 2
 
-    def image(members: frozenset) -> frozenset:
-        nxt: set[int] = set()
-        for k in members:
-            if k not in cache:
-                cache[k] = successors(Readout(m.digits, k)).members
-            nxt.update(cache[k])
-        return frozenset(nxt)
+    def image(run: tuple[int, int]) -> tuple[int, int]:
+        lo, hi = run
+        cells = (lo, hi, half) if lo <= half <= hi else (lo, hi)
+        ends = [j for k in cells for j in successors(Readout(m.digits, k)).members]
+        return min(ends), max(ends)
 
-    seen: dict[frozenset, int] = {}
-    trail: list[frozenset] = []
-    current = frozenset({m.index})
-    k = 0
-    while k < n:
-        if current in seen:
-            entry = seen[current]
-            period = k - entry
-            current = trail[entry + (n - entry) % period]
-            break
-        seen[current] = k
-        trail.append(current)
-        current = image(current)
-        k += 1
-    return SuccessorSet(m.digits, tuple(sorted(current)))
+    lo, hi = grid.advance((m.index, m.index), image, n)
+    return SuccessorSet(m.digits, tuple(range(lo, hi + 1)))
 
 
 def separation_eta(digits: int) -> Fraction:

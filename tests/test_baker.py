@@ -46,6 +46,29 @@ def test_orbit_matches_iterate():
     assert len(points) == 7
     for k, p in enumerate(points):
         assert p == baker.iterate(x, k)
+    # every p/q with q <= 40, against repeated application of the rational step
+    for x in {Fraction(p, q) for q in range(1, 41) for p in range(q + 1)}:
+        n = 3 * x.denominator + 3
+        points = baker.orbit(x, n)
+        stepped = x
+        for k in range(n + 1):
+            assert points[k] == baker.iterate(x, k) == stepped
+            stepped = baker.step(stepped)
+
+
+def test_iterate_astronomical_step_counts():
+    # independent oracle: find each orbit's cycle with the rational step,
+    # then ask for a huge step count congruent to a small one mod the period
+    huge = 10**9 + 7
+    for x in (Fraction(1, 7), Fraction(5, 7), Fraction(3, 40), Fraction(1, 48), Fraction(13, 97)):
+        seen: dict[Fraction, int] = {}
+        current = x
+        while current not in seen:
+            seen[current] = len(seen)
+            current = baker.step(current)
+        entry, period = seen[current], len(seen) - seen[current]
+        small = entry + (huge - entry) % period
+        assert baker.iterate(x, huge) == list(seen)[small] == baker.iterate(x, small)
 
 
 def test_range_preservation():

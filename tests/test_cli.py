@@ -176,6 +176,12 @@ def test_invalid_grid_and_readout_are_domain_errors():
     assert run_cli("measured-succ", "--d", "3", "--readout", "nonsense")[0] == 2
 
 
+def test_readout_text_must_have_exactly_d_digits():
+    for text in ("x", "1/2", "5e-1", "0.5", "0.5000"):
+        code, out, err = run_cli("measured-succ", "--d", "3", "--readout", text)
+        assert code == 2 and out == "" and "readout" in err
+
+
 def test_negative_decimals_is_a_usage_error():
     assert run_cli("--decimals", "-1", "baker-step", "--x", "1/3")[0] == 1
 

@@ -54,12 +54,17 @@ def test_grid_step_is_exactly_the_rational_step():
             assert grid.step(s).position == baker.step(s.position)
 
 
-def test_sensitivity_collapse_exhaustive():
-    for n_res in range(1, 101):
-        eta = grid.min_separation(n_res)
-        for i in range(n_res + 1):
-            for j in range(n_res + 1):
-                assert (abs(i - j) * Fraction(1, n_res) <= eta) == (i == j)
+def test_advance_matches_plain_loop():
+    # f(i) = i*i + 1 mod m has tails and cycles of many shapes
+    for m in range(1, 51):
+        f = lambda i, m=m: (i * i + 1) % m
+        for start in range(m):
+            x = start
+            for n in range(3 * m + 1):
+                assert grid.advance(start, f, n) == x
+                x = f(x)
+    with pytest.raises(InvalidStateError):
+        grid.advance(0, lambda i: i, -1)
 
 
 def test_table_iteration_equals_grid_iteration():

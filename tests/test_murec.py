@@ -21,6 +21,14 @@ def test_arity_examples():
     assert arity(Mu(Proj(2, 2))) == 1
 
 
+def test_arity_of_a_deep_chain():
+    # built bottom-up, so only the constructors' arity bookkeeping is exercised
+    term = Proj(1, 1)
+    for _ in range(5000):
+        term = Comp(Succ(), (term,))
+    assert arity(term) == 1
+
+
 @pytest.mark.parametrize(
     "build",
     [
