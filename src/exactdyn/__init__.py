@@ -10,11 +10,12 @@ Modules:
 - ``grid``: the same map on a finite uniform grid (deterministic, total).
 - ``readout``: the same map through a d-digit device (nondeterministic).
 - ``dissipative``: squaring on [0,1] and its discontinuous limit map.
-- ``checks``: the seeded property suites behind ``exactdyn check``.
+- ``checks``: the seeded property suites behind ``exactdyn check``
+  (not imported with the package; ``import exactdyn.checks`` loads it).
 - ``cli``: the ``exactdyn`` command-line tool.
 """
 
-from . import baker, checks, dissipative, encoding, grid, murec, rational, readout, realfn
+from . import baker, dissipative, encoding, grid, murec, rational, readout, realfn
 from .errors import (
     ArityMismatchError,
     DomainError,

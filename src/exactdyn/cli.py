@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import baker, checks, dissipative, grid, murec, readout, realfn
+from . import baker, dissipative, grid, murec, readout, realfn
 from .encoding import Encoding, decode_rational, encode_rational, translate
 from .errors import (
     ArityMismatchError,
@@ -88,7 +88,10 @@ def _encoding_arg(text: str) -> Encoding:
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
@@ -106,7 +109,7 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
     parser.add_argument(
-        "--fuel", type=int, default=10**6, help="evaluation step budget (default 10^6)"
+        "--fuel", type=_nonneg_int, default=10**6, help="evaluation step budget (default 10^6)"
     )
     parser.add_argument(
         "--format", choices=("plain", "structured"), default="plain", dest="fmt",
@@ -279,6 +282,8 @@ def _cmd_limit_demo(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_check(ns: argparse.Namespace, res: CommandResult) -> None:
+    from . import checks  # only this subcommand pays for compiling the suites
+
     results = checks.run_all(seed=ns.seed, fuel=ns.fuel)
     failed = [r for r in results if not r.passed]
     for r in results:

@@ -27,8 +27,7 @@ class GridState:
     index: int
 
     def __post_init__(self) -> None:
-        if self.resolution < 1:
-            raise InvalidStateError(f"resolution {self.resolution} must be >= 1")
+        _require_resolution(self.resolution)
         if not 0 <= self.index <= self.resolution:
             raise InvalidStateError(
                 f"index {self.index} outside 0..{self.resolution}"
@@ -37,6 +36,11 @@ class GridState:
     @property
     def position(self) -> Fraction:
         return Fraction(self.index, self.resolution)
+
+
+def _require_resolution(resolution: int) -> None:
+    if resolution < 1:
+        raise InvalidStateError(f"resolution {resolution} must be >= 1")
 
 
 def fold(i: int, resolution: int) -> int:
@@ -76,6 +80,7 @@ def iterate(s: GridState, n: int) -> GridState:
 
 def table(resolution: int) -> list[tuple[int, int]]:
     """The complete graph of step as N+1 (index, successor index) pairs."""
+    _require_resolution(resolution)
     return [
         (i, step(GridState(resolution, i)).index) for i in range(resolution + 1)
     ]
@@ -88,8 +93,7 @@ def min_separation(resolution: int) -> Fraction:
     exactly why the finite-grid system is not sensitive to initial
     conditions.
     """
-    if resolution < 1:
-        raise InvalidStateError(f"resolution {resolution} must be >= 1")
+    _require_resolution(resolution)
     return Fraction(1, 2 * resolution)
 
 

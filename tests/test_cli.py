@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +49,7 @@ def test_exit_codes():
     assert run_cli("baker-step", "--x", "3/2")[0] == 2
     assert run_cli("--fuel", "4", "murec-eval", "--builtin", "addition", "3", "4")[0] == 3
     assert run_cli("decode", "--code", "3")[0] == 4
+    assert run_cli("--fuel", "-3", "check")[0] == 1  # a usage error, not three failing checks
 
 
 def test_errors_go_to_stderr():
@@ -172,6 +176,7 @@ def test_deeply_nested_program_is_a_usage_error(tmp_path):
 def test_invalid_grid_and_readout_are_domain_errors():
     assert run_cli("grid-sim", "--resolution", "10", "--index", "11")[0] == 2
     assert run_cli("grid-sim", "--resolution", "0", "--index", "0")[0] == 2
+    assert run_cli("grid-table", "--resolution", "-3")[0] == 2
     assert run_cli("measured-succ", "--d", "3", "--readout", "0.0005")[0] == 2
     assert run_cli("measured-succ", "--d", "3", "--readout", "nonsense")[0] == 2
 
@@ -192,7 +197,15 @@ def test_measured_reach_astronomical_steps():
 
 
 def test_check_command_passes():
+    # the check suites are the unit-level property tests: name what failed
     code, out, _ = run_cli("check")
-    assert code == 0
-    assert "failed=0" in out
-    assert "FAIL" not in out
+    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 0 and "failed=0" in out and not failures, "\n".join(failures)
+
+
+def test_cli_import_leaves_the_check_suites_unloaded():
+    probe = "import sys, exactdyn.cli; print('exactdyn.checks' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "False\n"

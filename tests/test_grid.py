@@ -1,9 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from exactdyn import baker, grid
+from exactdyn import grid
 from exactdyn.errors import InvalidStateError
 from exactdyn.grid import GridState
 
@@ -45,15 +44,6 @@ def test_min_separation():
     assert grid.min_separation(2) == Fraction(1, 4)
 
 
-def test_grid_step_is_exactly_the_rational_step():
-    rng = random.Random(4)
-    resolutions = list(range(1, 41)) + [rng.randrange(41, 1001) for _ in range(40)]
-    for n_res in resolutions:
-        for i in range(n_res + 1):
-            s = GridState(n_res, i)
-            assert grid.step(s).position == baker.step(s.position)
-
-
 def test_advance_matches_plain_loop():
     # f(i) = i*i + 1 mod m has tails and cycles of many shapes
     for m in range(1, 51):
@@ -65,28 +55,6 @@ def test_advance_matches_plain_loop():
                 x = f(x)
     with pytest.raises(InvalidStateError):
         grid.advance(0, lambda i: i, -1)
-
-
-def test_table_iteration_equals_grid_iteration():
-    for n_res in (1, 2, 9, 33, 100):
-        lookup = dict(grid.table(n_res))
-        for i in range(n_res + 1):
-            via_table = i
-            state = GridState(n_res, i)
-            for _ in range(20):
-                via_table = lookup[via_table]
-                state = grid.step(state)
-                assert via_table == state.index
-
-
-def test_every_orbit_cycles_within_pigeonhole_bound():
-    for n_res in range(1, 101):
-        for i in range(n_res + 1):
-            orbit, entry, length = grid.orbit_with_cycle(GridState(n_res, i))
-            assert entry + length <= n_res + 2
-            assert len(set(orbit)) == len(orbit)
-            # the detected cycle really is one
-            assert grid.iterate(GridState(n_res, orbit[entry]), length).index == orbit[entry]
 
 
 def test_orbit_with_cycle_fixed_point():

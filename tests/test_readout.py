@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from exactdyn import baker, readout
 from exactdyn.errors import DomainError, InvalidStateError
 from exactdyn.readout import Readout, Span, measure, parse_readout, reach, relation_table, successors
 
@@ -65,60 +64,12 @@ def test_successor_examples():
 
 
 def test_relation_table_shape():
-    for digits in (1, 2, 3):
-        rows = relation_table(digits)
-        assert len(rows) == 10**digits + 1
-        assert [k for k, _ in rows] == list(range(10**digits + 1))
-        for _, succ in rows:
-            assert succ.members == tuple(sorted(set(succ.members)))
-            assert len(succ.members) >= 1
-
-
-def test_nondeterminism_is_real():
-    # at least one 3-digit readout has several possible followers
-    assert len(successors(Readout(3, 0)).members) >= 2
-
-
-def test_sampled_soundness():
-    # 10^3 seeded rationals per cell for every cell at d <= 3.  The bulk runs
-    # on integer numerators over one fine denominator (fast); a smaller
-    # varied-denominator sample guards against grid artifacts.
-    rng = random.Random(20260808)
-    fine = 10**6
-    for digits in (1, 2, 3):
-        scale = 10**digits
-        denom = scale * fine
-        for k in range(scale + 1):
-            m = Readout(digits, k)
-            claimed = set(successors(m).members)
-            if k == scale:
-                assert measure(baker.step(Fraction(1)), digits).index in claimed
-                continue
-            base = k * fine
-            for _ in range(990):
-                num = base + rng.randrange(fine)  # the point num/denom is in the cell
-                image = 2 * num if 2 * num <= denom else 2 * denom - 2 * num
-                assert image // fine in claimed
-            cell = m.cell()
-            width = cell.hi - cell.lo
-            for _ in range(10):
-                den = rng.choice((97, 729, 1024, 9973, 10**6 + 3))
-                x = cell.lo + width * Fraction(rng.randrange(den), den)
-                assert measure(baker.step(x), digits).index in claimed
-
-
-def test_witness_completeness():
-    for digits in (1, 2):
-        for k in range(10**digits + 1):
-            m = Readout(digits, k)
-            claimed = set(successors(m).members)
-            witnesses = readout.successor_witnesses(m)
-            assert set(witnesses) == claimed
-            cell = m.cell()
-            for target, x in witnesses.items():
-                assert cell.lo <= x
-                assert x < cell.hi or (x == cell.hi and not cell.hi_open)
-                assert measure(baker.step(x), digits).index == target
+    # d <= 2 is in the check suite; d = 3 costs ten times as much
+    rows = relation_table(3)
+    assert [k for k, _ in rows] == list(range(1001))
+    for _, succ in rows:
+        assert succ.members == tuple(sorted(set(succ.members)))
+        assert len(succ.members) >= 1
 
 
 def test_reach_examples():
@@ -156,17 +107,6 @@ def test_reach_handles_astronomical_step_counts():
     huge = entry + period * 10**8
     assert set(reach(m, huge).members) == set(trail[entry])
     assert reach(m, huge).members == reach(m, entry).members
-
-
-def test_separation_collapse():
-    for digits in (1, 2, 3):
-        eta = readout.separation_eta(digits)
-        scale = 10**digits
-        values = [Fraction(k, scale) for k in range(scale + 1)]
-        # adjacent readouts differ by twice eta; only equality is closer
-        for k in range(scale):
-            assert values[k + 1] - values[k] == 2 * eta
-        assert all(abs(values[i] - values[i]) <= eta for i in range(scale + 1))
 
 
 def test_span_intersection_bookkeeping():

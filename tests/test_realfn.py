@@ -1,19 +1,14 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from exactdyn import baker
-from exactdyn.checks import seeded_unit_rationals
 from exactdyn.errors import DomainError
 from exactdyn.realfn import (
     UNIT,
     ApproxReal,
     Interval,
-    RealFn,
     check_modulus,
-    compose,
-    constant_on,
     evaluate,
     from_rational,
     identity_on,
@@ -42,16 +37,6 @@ def test_evaluate_rejects_out_of_domain_points():
         evaluate(baker.as_real_fn(1), from_rational(Fraction(1, 2)), Fraction(0))
 
 
-def test_evaluate_accuracy_against_oracle():
-    rng = random.Random(5)
-    for n in (1, 3, 6):
-        fn = baker.as_real_fn(n)
-        for x in seeded_unit_rationals(rng, 60):
-            eps = Fraction(1, 1 + rng.randrange(10**5))
-            got = evaluate(fn, from_rational(x), eps)
-            assert abs(got - baker.iterate(x, n)) <= eps
-
-
 def test_evaluate_uses_the_modulus_to_query_the_point():
     asked = []
 
@@ -61,49 +46,6 @@ def test_evaluate_uses_the_modulus_to_query_the_point():
 
     evaluate(baker.as_real_fn(3), ApproxReal(at=at), Fraction(1, 10))
     assert asked == [Fraction(1, 80)]
-
-
-def test_compose_modulus_example():
-    outer = RealFn(lambda e, q: q, lambda e: e / 2, UNIT)
-    inner = RealFn(lambda e, q: q, lambda e: e / 4, UNIT)
-    composed = compose(outer, inner)
-    for k in (1, 2, 10, 1000):
-        assert composed.modulus(Fraction(1, k)) == Fraction(1, 8 * k)
-
-
-def test_compose_identity_is_neutral():
-    rng = random.Random(9)
-    fn = baker.as_real_fn(2)
-    wrapped = compose(identity_on(UNIT), fn)
-    for x in seeded_unit_rationals(rng, 30):
-        for eps in (Fraction(1, 7), Fraction(1, 500)):
-            point = from_rational(x)
-            assert evaluate(wrapped, point, eps) == evaluate(fn, point, eps)
-
-
-def test_compose_agrees_with_two_step_map():
-    rng = random.Random(13)
-    twice = compose(baker.as_real_fn(1), baker.as_real_fn(1))
-    for x in seeded_unit_rationals(rng, 50):
-        got = evaluate(twice, from_rational(x), Fraction(1, 1000))
-        assert got == baker.iterate(x, 2)
-    report = check_modulus(twice, lambda q: baker.iterate(q, 2), 400, seed=13)
-    assert report.ok, report.failures[0]
-
-
-def test_check_modulus_certifies_correct_rules():
-    for n in (1, 2, 5):
-        report = check_modulus(baker.as_real_fn(n), lambda q, n=n: baker.iterate(q, n), 500, seed=0)
-        assert report.trials == 500
-        assert report.ok, report.failures[0]
-
-
-def test_check_modulus_catches_a_lying_rule():
-    honest = baker.as_real_fn(2)
-    lying = RealFn(approx=honest.approx, modulus=lambda eps: eps, domain=honest.domain)
-    report = check_modulus(lying, lambda q: baker.iterate(q, 2), 500, seed=0)
-    assert not report.ok
-    assert all(f.error > f.eps for f in report.failures)
 
 
 def test_check_modulus_is_deterministic():
@@ -116,28 +58,6 @@ def test_check_modulus_is_deterministic():
 def test_identity_rule_certified():
     report = check_modulus(identity_on(UNIT), lambda q: q, 300, seed=3)
     assert report.ok, report.failures[0]
-
-
-def test_constants_satisfy_every_modulus():
-    fn = constant_on(Fraction(0), UNIT)
-    report = check_modulus(fn, lambda q: Fraction(0), 200, seed=1)
-    assert report.ok
-    # even a wildly generous modulus cannot hurt a constant
-    loose = RealFn(approx=fn.approx, modulus=lambda eps: Fraction(10**6), domain=UNIT)
-    assert check_modulus(loose, lambda q: Fraction(0), 200, seed=1).ok
-
-
-def test_sampled_uniform_continuity():
-    # two domain points within the modulus stay within 2*eps of each other
-    rng = random.Random(2)
-    for n in (2, 4):
-        fn = baker.as_real_fn(n)
-        for _ in range(150):
-            eps = Fraction(1, 1 + rng.randrange(1000))
-            slack = fn.modulus(eps)
-            x = seeded_unit_rationals(rng, 1)[0]
-            x_alt = min(x + slack * Fraction(rng.randrange(101), 100), Fraction(1))
-            assert abs(baker.iterate(x, n) - baker.iterate(x_alt, n)) <= 2 * eps
 
 
 def test_interval_basics():
