@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from exactdyn import baker
+from exactdyn.checks import seeded_unit_rationals
 from exactdyn.errors import DomainError
 
 SPECIAL = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(2, 3)]
@@ -68,6 +70,22 @@ def test_iterate_astronomical_step_counts():
         assert baker.iterate(x, huge) == list(seen)[small] == baker.iterate(x, small)
 
 
+def test_range_preservation():
+    rng = random.Random(1)
+    for x in SPECIAL + seeded_unit_rationals(rng, 500):
+        assert 0 <= baker.step(x) <= 1
+
+
+def test_iterate_is_2_to_n_lipschitz():
+    rng = random.Random(3)
+    points = SPECIAL + seeded_unit_rationals(rng, 80)
+    for n in range(13):
+        bound = 2**n
+        for _ in range(100):
+            x, y = rng.sample(points, 2)
+            assert abs(baker.iterate(x, n) - baker.iterate(y, n)) <= bound * abs(x - y)
+
+
 def test_real_fn_modulus_and_clamping():
     fn = baker.as_real_fn(3)
     assert fn.modulus(Fraction(1, 1000)) == Fraction(1, 8000)
@@ -95,3 +113,25 @@ def test_witness_rejects_bad_inputs():
         baker.sensitivity_witness(Fraction(0), Fraction(0), Fraction(1))
     with pytest.raises(DomainError):
         baker.sensitivity_witness(Fraction(1, 10), Fraction(3, 2), Fraction(1))
+
+
+def test_hundred_seeded_witnesses_are_exact():
+    rng = random.Random(20260808)
+    for _ in range(100):
+        eta = Fraction(1 + rng.randrange(10**6), 10**6)
+        a, b = seeded_unit_rationals(rng, 2)
+        w = baker.sensitivity_witness(eta, a, b)
+        assert 0 <= w.start_a <= 1 and 0 <= w.start_b <= 1
+        assert w.start_gap <= eta
+        assert Fraction(1, 2**w.steps) <= eta
+        assert baker.iterate(w.start_a, w.steps) == a
+        assert baker.iterate(w.start_b, w.steps) == b
+        assert w.end_gap == abs(a - b)
+
+
+def test_arbitrary_separation_from_tiny_eta():
+    # however small eta, targets 0 and 1 force the orbits a full unit apart
+    for j in (1, 3, 6, 9):
+        w = baker.sensitivity_witness(Fraction(1, 10**j), Fraction(0), Fraction(1))
+        assert w.start_gap <= Fraction(1, 10**j)
+        assert w.end_gap == 1

@@ -108,3 +108,11 @@ def test_discontinuity_witness_examples():
     assert w.x == Fraction(999999, 10**6) and w.gap == 1
     with pytest.raises(DomainError):
         dissipative.discontinuity_witness(Fraction(0))
+
+
+def test_witness_family_defeats_every_modulus():
+    # for any claimed rule, pairs within eta keep a unit gap in the limit
+    for j in range(1, 10):
+        w = dissipative.discontinuity_witness(Fraction(1, 10**j))
+        assert abs(w.x - w.x_alt) <= w.eta
+        assert abs(dissipative.limit_state(w.x) - dissipative.limit_state(w.x_alt)) == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,17 @@ def test_decode_rejects_non_codes():
     # zero with denominator 2
     with pytest.raises(NotACodeError):
         decode_rational(pair(pair(0, 0), 2))
+
+
+def test_round_trip_at_huge_magnitudes():
+    # thousands of digits; the pairing must stay exact
+    rng = random.Random(7)
+    for _ in range(5):
+        q = Fraction(rng.randrange(10**1000), rng.randrange(1, 10**1000))
+        if rng.randrange(2):
+            q = -q
+        for enc in Encoding:
+            assert decode_rational(encode_rational(q, enc), enc) == q
 
 
 def test_translate_examples():

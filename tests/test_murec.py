@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from exactdyn import murec
@@ -61,6 +63,21 @@ def test_determinism():
     for args in ((0, 0), (7, 9), (50, 1)):
         outcomes = {evaluate(ADD, args, FUEL) for _ in range(5)}
         assert len(outcomes) == 1
+
+
+def test_mu_returns_least_witness():
+    sub = murec.builtin_program("truncated_subtraction")
+    lookup = Mu(sub)  # least y with x - y = 0, i.e. y = x
+    for x in (0, 1, 2, 9, 31):
+        assert evaluate(lookup, (x,), FUEL) == Value(x)
+        for z in range(x):
+            probe = evaluate(sub, (x, z), FUEL)
+            assert isinstance(probe, Value) and probe.value != 0
+
+
+def test_conjugate_propagates_divergence():
+    got = murec.conjugate_evaluate(DIVERGENT, (Fraction(0),), 10**3)
+    assert got == Diverged(10**3)
 
 
 # --- program text format ---

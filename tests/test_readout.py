@@ -63,6 +63,11 @@ def test_successor_examples():
     assert successors(Readout(1, 10)).members == (0,)
 
 
+def test_nondeterminism_is_real():
+    # at least one 3-digit readout has several possible followers
+    assert len(successors(Readout(3, 0)).members) >= 2
+
+
 def test_relation_table_shape():
     # d <= 2 is in the check suite; d = 3 costs ten times as much
     rows = relation_table(3)

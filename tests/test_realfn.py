@@ -8,7 +8,9 @@ from exactdyn.realfn import (
     UNIT,
     ApproxReal,
     Interval,
+    RealFn,
     check_modulus,
+    constant_on,
     evaluate,
     from_rational,
     identity_on,
@@ -48,6 +50,14 @@ def test_evaluate_uses_the_modulus_to_query_the_point():
     assert asked == [Fraction(1, 80)]
 
 
+def test_check_modulus_catches_a_lying_rule():
+    honest = baker.as_real_fn(2)
+    lying = RealFn(approx=honest.approx, modulus=lambda eps: eps, domain=honest.domain)
+    report = check_modulus(lying, lambda q: baker.iterate(q, 2), 500, seed=0)
+    assert not report.ok
+    assert all(f.error > f.eps for f in report.failures)
+
+
 def test_check_modulus_is_deterministic():
     honest = baker.as_real_fn(3)
     a = check_modulus(honest, lambda q: baker.iterate(q, 3), 300, seed=42)
@@ -58,6 +68,15 @@ def test_check_modulus_is_deterministic():
 def test_identity_rule_certified():
     report = check_modulus(identity_on(UNIT), lambda q: q, 300, seed=3)
     assert report.ok, report.failures[0]
+
+
+def test_constants_satisfy_every_modulus():
+    fn = constant_on(Fraction(0), UNIT)
+    report = check_modulus(fn, lambda q: Fraction(0), 200, seed=1)
+    assert report.ok
+    # even a wildly generous modulus cannot hurt a constant
+    loose = RealFn(approx=fn.approx, modulus=lambda eps: Fraction(10**6), domain=UNIT)
+    assert check_modulus(loose, lambda q: Fraction(0), 200, seed=1).ok
 
 
 def test_interval_basics():
