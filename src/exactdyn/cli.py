@@ -9,7 +9,8 @@ a single JSON document.  All numbers are exact rational text; pass
 rational.  Runs are deterministic for a fixed argv and ``--seed``.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (also a failing
-``check``), 3 fuel exhausted, 4 invalid code.
+``check``), 3 fuel exhausted (also a ``check`` that ran out of fuel
+before it could decide), 4 invalid code.
 """
 
 from __future__ import annotations
@@ -285,16 +286,21 @@ def _cmd_check(ns: argparse.Namespace, res: CommandResult) -> None:
     from . import checks  # only this subcommand pays for compiling the suites
 
     results = checks.run_all(seed=ns.seed, fuel=ns.fuel)
-    failed = [r for r in results if not r.passed]
+    failed = sum(not r.passed and not r.out_of_fuel for r in results)
+    dry = sum(r.out_of_fuel for r in results)
     for r in results:
         if r.passed:
             res.rows.append(("PASS", r.name))
         else:
-            res.rows.append(("FAIL", r.name, r.detail))
-    res.payload["passed"] = len(results) - len(failed)
-    res.payload["failed"] = len(failed)
+            res.rows.append(("OUT_OF_FUEL" if r.out_of_fuel else "FAIL", r.name, r.detail))
+    res.payload["passed"] = sum(r.passed for r in results)
+    res.payload["failed"] = failed
+    if dry:
+        res.payload["out_of_fuel"] = dry
     if failed:
         res.status = STATUS_DOMAIN
+    elif dry:
+        res.status = STATUS_DIVERGED
 
 
 _HANDLERS: dict[str, Callable[[argparse.Namespace, CommandResult], None]] = {

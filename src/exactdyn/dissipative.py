@@ -18,7 +18,7 @@ from .errors import DomainError
 from .rational import HALF, ONE, ZERO, format_rational, require_unit_interval
 from .realfn import UNIT, RealFn
 
-# beyond this, iterates are tracked by rounded two-sided bounds instead of
+# beyond this, iterates are tracked by a floor on a dyadic grid instead of
 # exactly: the exact value of x^(2^n) has doubly exponential size
 EXACT_BITS_CAP = 4096
 
@@ -37,11 +37,14 @@ def limit_state(x: Fraction) -> Fraction:
 def iterate_approx(x: Fraction, n: int, eps: Fraction) -> Fraction:
     """A rational within eps of x^(2^n), never above it, never below 0.
 
-    Squares exactly while the representation stays below EXACT_BITS_CAP
-    bits, then switches to a bracketing pair rounded outward on a dyadic
-    grid fine enough that the final width is below eps; squaring is
-    monotone on [0,1], so the bracket is preserved.  The lower end is
-    returned, so answers are one-sided underestimates.
+    Squares x exactly, as its reduced integer pair (p, q), while q stays
+    within prec >= EXACT_BITS_CAP bits: squares of coprime integers are
+    coprime, so no gcd is needed.  Then carries the floor of the state
+    on the dyadic grid of step 2^-prec, a fixed-point integer squared and
+    floored at each later date.  A floor never rises above the true
+    state, squaring is monotone on [0,1], and each date at most doubles
+    the error and adds one grid step, so prec is chosen fine enough that
+    the final error is below eps.  Answers are one-sided underestimates.
     """
     require_unit_interval(x, "state")
     if n < 0:
@@ -52,36 +55,36 @@ def iterate_approx(x: Fraction, n: int, eps: Fraction) -> Fraction:
     # stay below eps overall
     amplified = (eps.denominator << (n + 4)) // eps.numerator
     prec = max(EXACT_BITS_CAP, amplified.bit_length())
-    unit = 1 << prec
-    lo = hi = x
-    for _ in range(n):
-        lo = lo * lo
-        hi = hi * hi
-        if lo.denominator.bit_length() > prec:
-            lo = Fraction((lo.numerator << prec) // lo.denominator, unit)
-        if hi.denominator.bit_length() > prec:
-            hi = Fraction(-((-hi.numerator << prec) // hi.denominator), unit)
-            if hi > 1:
-                hi = ONE
-    return lo if lo > 0 else ZERO
+    p, q = x.numerator, x.denominator
+    for date in range(n):
+        p, q = p * p, q * q
+        if q.bit_length() > prec:
+            break
+    else:
+        return Fraction(p, q)
+    lo = (p << prec) // q
+    for _ in range(date + 1, n):
+        lo = (lo * lo) >> prec
+    return Fraction(lo, 1 << prec)
 
 
 def first_date_below(x: Fraction, threshold: Fraction, max_date: int) -> int | None:
     """Least date n <= max_date with x^(2^n) < threshold, or None.
 
-    Decided by exact squaring and exact comparison; the representation
-    doubles in size per date, so keep max_date modest (a few dozen).
+    Decided by exact squaring of the reduced pair (p, q) of x and exact
+    comparison; the representation doubles in size per date, so keep
+    max_date modest (a few dozen).
     """
     require_unit_interval(x, "state")
     if threshold <= 0:
         raise DomainError("threshold must be positive")
     if max_date < 0:
         raise DomainError("date bound must be non-negative")
-    value = x
+    p, q = x.numerator, x.denominator
     for n in range(max_date + 1):
-        if value < threshold:
+        if p * threshold.denominator < threshold.numerator * q:
             return n
-        value = value * value
+        p, q = p * p, q * q
     return None
 
 
@@ -90,7 +93,7 @@ def as_real_fn(n: int) -> RealFn:
 
     The derivative of one squaring step is bounded by 2 on [0,1], so the
     n-step map is 2^n-Lipschitz; half the accuracy budget covers the
-    argument error through that bound and half covers the bracketing of
+    argument error through that bound and half covers the rounding of
     iterate_approx.
     """
     if n < 0:

@@ -28,6 +28,7 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
         (("--seed", "0", "encode", "--rational", "1/2"), "encode_half.txt"),
         (("--seed", "0", "sensitivity", "--eta", "1/10", "--a", "1/3", "--ap", "1"), "sensitivity_tenth.txt"),
         (("--seed", "0", "measured-succ", "--d", "3", "--readout", "0.000"), "measured_succ_first_cell.txt"),
+        (("--seed", "0", "limit-demo"), "limit_demo.txt"),
     ],
 )
 def test_golden_outputs(argv, golden):
@@ -201,6 +202,19 @@ def test_check_command_passes():
     code, out, _ = run_cli("check")
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 0 and "failed=0" in out and not failures, "\n".join(failures)
+
+
+def test_check_with_too_little_fuel_reports_no_failure():
+    # a total program cut short by the budget decides nothing about its property
+    code, out, _ = run_cli("--fuel", "10", "check")
+    lines = out.splitlines()
+    assert code == 3
+    assert "failed=0" in lines and "out_of_fuel=2" in lines
+    undecided = [line.split("\t")[:2] for line in lines if "\t" in line and not line.startswith("PASS")]
+    assert undecided == [
+        ["OUT_OF_FUEL", "murec: corpus agrees with built-in arithmetic"],
+        ["OUT_OF_FUEL", "murec: minimization returns least witnesses"],
+    ]
 
 
 def test_cli_import_leaves_the_check_suites_unloaded():

@@ -5,7 +5,7 @@ import pytest
 
 from exactdyn import dissipative
 from exactdyn.errors import DomainError
-from exactdyn.realfn import check_modulus
+from exactdyn.rational import ONE, ZERO
 
 
 def test_step_examples():
@@ -55,6 +55,60 @@ def test_iterate_approx_beyond_the_exactness_cap():
     assert exact - got <= eps
 
 
+def _iterate_approx_by_fractions(x: Fraction, n: int, eps: Fraction) -> Fraction:
+    # the Fraction loop iterate_approx replaced, kept as its reference
+    amplified = (eps.denominator << (n + 4)) // eps.numerator
+    prec = max(dissipative.EXACT_BITS_CAP, amplified.bit_length())
+    unit = 1 << prec
+    lo = hi = x
+    for _ in range(n):
+        lo = lo * lo
+        hi = hi * hi
+        if lo.denominator.bit_length() > prec:
+            lo = Fraction((lo.numerator << prec) // lo.denominator, unit)
+        if hi.denominator.bit_length() > prec:
+            hi = Fraction(-((-hi.numerator << prec) // hi.denominator), unit)
+            if hi > 1:
+                hi = ONE
+    return lo if lo > 0 else ZERO
+
+
+def _first_date_below_by_fractions(x: Fraction, threshold: Fraction, max_date: int) -> int | None:
+    value = x
+    for n in range(max_date + 1):
+        if value < threshold:
+            return n
+        value = value * value
+    return None
+
+
+def test_integer_squaring_matches_the_fraction_loop():
+    rng = random.Random(5)
+    epsilons = [Fraction(1, 10**k) for k in (1, 9, 30, 300, 1300)]  # 10^-1300 needs prec > cap
+    assert (10**1300).bit_length() > dissipative.EXACT_BITS_CAP
+    # 3^(2^11) fits in the cap and 3^(2^12) does not: rounding starts at the last date
+    assert (3 ** 2**11).bit_length() <= dissipative.EXACT_BITS_CAP < (3 ** 2**12).bit_length()
+    # (2^1024 - 1)^4 has exactly cap bits: date 2 is still exact
+    assert ((2**1024 - 1) ** 4).bit_length() == dissipative.EXACT_BITS_CAP
+    fixed = [Fraction(0), ONE, Fraction(1, 2), Fraction(2, 3), Fraction(2**1023, 2**1024 - 1),
+             Fraction(1, 2**40), Fraction(2**39 + 1, 2**40), Fraction(2**40 - 1, 2**40)]
+    for n in [*range(13), 16, 32, 64]:
+        m = max(2, 2**n + rng.randrange(-(2**n) // 8, 2**n // 8 + 1))
+        q = rng.randrange(1, 10**6 + 1)
+        starts = [*fixed, 1 - Fraction(1, m), Fraction(rng.randrange(q + 1), q)]
+        for i, x in enumerate(starts):
+            # every eps at every short date; one eps per start, in turn, at long ones
+            for eps in epsilons if n <= 12 else [epsilons[(i + n) % len(epsilons)]]:
+                got = dissipative.iterate_approx(x, n, eps)
+                want = _iterate_approx_by_fractions(x, n, eps)
+                assert type(got) is Fraction and got == want, (x, n, eps)
+        if n <= 8:  # past date 8, exact squares of 40-bit denominators outgrow 10^4 bits
+            for threshold in (Fraction(1, 2), Fraction(1, 1000), epsilons[2], Fraction(3, 2)):
+                for x in starts:
+                    want = _first_date_below_by_fractions(x, threshold, n)
+                    assert dissipative.first_date_below(x, threshold, n) == want
+
+
 def test_nine_tenths_drops_below_threshold_at_seven():
     threshold = Fraction(1, 1000)
     # independent crossing search by direct exact squaring
@@ -77,26 +131,6 @@ def test_first_date_below_edges():
     assert dissipative.first_date_below(Fraction(1, 2), Fraction(1), 5) == 0
     with pytest.raises(DomainError):
         dissipative.first_date_below(Fraction(9, 10), Fraction(0), 5)
-
-
-def test_convergence_bound():
-    # dates up to 8 are in the check suite; date 9 costs twice as much as all of them
-    rng = random.Random(9)
-    eps = Fraction(1, 10**6)
-    for delta in (Fraction(1, 10), Fraction(1, 100)):
-        ceiling = 1 - delta
-        for _ in range(30):
-            x = ceiling * Fraction(rng.randrange(10**4 + 1), 10**4)
-            assert dissipative.iterate_approx(x, 9, eps) <= ceiling ** (2**9) + eps
-
-
-def test_finite_date_rules_certified():
-    # dates up to 4 are in the check suite; dates 5 and 6 cost as much again
-    for n in (5, 6):
-        report = check_modulus(
-            dissipative.as_real_fn(n), lambda q, n=n: q ** (2**n), 300, seed=0
-        )
-        assert report.ok, report.failures[0]
 
 
 def test_discontinuity_witness_examples():
