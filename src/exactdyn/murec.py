@@ -10,6 +10,19 @@ one unit per constructor application, and answers ``Diverged`` when the
 budget runs out.  ``Diverged`` is a verdict about the budget, never a
 claim that the denoted function is undefined.
 
+Each term is compiled when it is built, into a closure made from its
+children's closures.  A subterm with no primitive recursion or
+minimization inside visits the same nodes on every run, so it runs
+without looking at the budget: its node count is charged in one step
+when it starts, by the enclosing recursion or minimization step (or the
+composition or ``evaluate`` call that runs it).  Primitive recursion and
+minimization charge their own unit, then each body call's fixed cost
+before the call.  Charging a fixed cost when a subterm starts instead of
+node by node moves the moment the budget runs out, never whether it
+does: evaluation is deterministic and stops only by finishing or by
+running out of fuel, so every budget gives the same ``Value`` or
+``Diverged`` as counting one node at a time.
+
 Terms can be read from text, one term per file::
 
     proj p i | zero p | succ | (comp F G1 ... Gq) | (primrec F G) | (mu F)
@@ -26,12 +39,97 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Union
+from typing import Callable, Optional, Union
 
 from .encoding import Encoding, decode_rational, encode_rational
 from .errors import ArityMismatchError, IllFormedError, ProgramParseError
 
 RecFn = Union["Proj", "Zero", "Succ", "Comp", "PrimRec", "Mu"]
+
+# A compiled term runs as ``_run(args, budget)``, where ``budget`` is the
+# one-item list [fuel remaining] of the current evaluation.  A term with
+# ``_cost`` set (its node count) is loop-free and never touches the
+# budget: whoever runs it charges ``_cost`` first.  A term with ``_cost``
+# None contains PrimRec or Mu and charges everything it spends itself.
+# Every node computes both once, when it is built, from its children's.
+Run = Callable[[tuple[int, ...], list[int]], int]
+
+
+class _OutOfFuel(Exception):
+    pass
+
+
+def _entry_charge(term: RecFn) -> int:
+    """Fuel a caller charges before running term: all of a loop-free one, none of the rest."""
+    return 0 if term._cost is None else term._cost
+
+
+def _zero(args: tuple[int, ...], budget: list[int]) -> int:
+    return 0
+
+
+def _succ(args: tuple[int, ...], budget: list[int]) -> int:
+    return args[0] + 1
+
+
+def _compile_comp(outer: RecFn, inner: tuple[RecFn, ...]) -> tuple[Optional[int], Run]:
+    f, gs = outer._run, tuple([g._run for g in inner])
+    costs = [outer._cost] + [g._cost for g in inner]
+    if None in costs:
+        charge = 1 + sum(c for c in costs if c is not None)
+
+        def run(args: tuple[int, ...], budget: list[int]) -> int:
+            budget[0] -= charge
+            if budget[0] < 0:
+                raise _OutOfFuel
+            return f(tuple([g(args, budget) for g in gs]), budget)
+
+        return None, run
+    charge = 1 + sum(costs)
+    if len(gs) == 1:
+        (g,) = gs
+        return charge, lambda args, budget: f((g(args, budget),), budget)
+    return charge, lambda args, budget: f(tuple([g(args, budget) for g in gs]), budget)
+
+
+def _compile_primrec(base: RecFn, step: RecFn) -> Run:
+    charge, step_cost = 1 + _entry_charge(base), _entry_charge(step)
+    run_base, run_step = base._run, step._run
+
+    def run(args: tuple[int, ...], budget: list[int]) -> int:
+        budget[0] -= charge
+        if budget[0] < 0:
+            raise _OutOfFuel
+        xs = args[:-1]
+        acc = run_base(xs, budget)
+        for k in range(args[-1]):
+            budget[0] -= step_cost
+            if budget[0] < 0:
+                raise _OutOfFuel
+            acc = run_step(xs + (k, acc), budget)
+        return acc
+
+    return run
+
+
+def _compile_mu(body: RecFn) -> Run:
+    probe_cost, probe = _entry_charge(body), body._run
+
+    def run(args: tuple[int, ...], budget: list[int]) -> int:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _OutOfFuel
+        # probe candidates in order; fuel bounds the search
+        y = 0
+        while True:
+            budget[0] -= probe_cost
+            if budget[0] < 0:
+                raise _OutOfFuel
+            if probe(args + (y,), budget) == 0:
+                return y
+            y += 1
+
+    return run
 
 
 @dataclass(frozen=True)
@@ -40,10 +138,14 @@ class Proj:
 
     p: int
     i: int
+    _run: Run = field(init=False, repr=False, compare=False)
+    _cost = 1
 
     def __post_init__(self) -> None:
         if self.p < 1 or not 1 <= self.i <= self.p:
             raise IllFormedError(f"proj {self.p} {self.i}: index out of range")
+        k = self.i - 1
+        object.__setattr__(self, "_run", lambda args, budget: args[k])
 
 
 @dataclass(frozen=True)
@@ -51,6 +153,8 @@ class Zero:
     """x_1, ..., x_p -> 0; p = 0 gives the zero constant."""
 
     p: int
+    _run = staticmethod(_zero)
+    _cost = 1
 
     def __post_init__(self) -> None:
         if self.p < 0:
@@ -61,6 +165,9 @@ class Zero:
 class Succ:
     """x -> x + 1."""
 
+    _run = staticmethod(_succ)
+    _cost = 1
+
 
 @dataclass(frozen=True)
 class Comp:
@@ -69,6 +176,8 @@ class Comp:
     outer: RecFn
     inner: tuple[RecFn, ...]
     _arity: int = field(init=False, repr=False, compare=False)
+    _cost: Optional[int] = field(init=False, repr=False, compare=False)
+    _run: Run = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inner", tuple(self.inner))
@@ -81,7 +190,10 @@ class Comp:
         arities = {arity(g) for g in self.inner}
         if len(arities) != 1:
             raise IllFormedError(f"comp: inner terms disagree on arity: {sorted(arities)}")
+        cost, run = _compile_comp(self.outer, self.inner)
         object.__setattr__(self, "_arity", arities.pop())
+        object.__setattr__(self, "_cost", cost)
+        object.__setattr__(self, "_run", run)
 
 
 @dataclass(frozen=True)
@@ -91,6 +203,8 @@ class PrimRec:
     base: RecFn
     step: RecFn
     _arity: int = field(init=False, repr=False, compare=False)
+    _run: Run = field(init=False, repr=False, compare=False)
+    _cost = None
 
     def __post_init__(self) -> None:
         if arity(self.step) != arity(self.base) + 2:
@@ -98,6 +212,7 @@ class PrimRec:
                 f"primrec: step arity {arity(self.step)} != base arity {arity(self.base)} + 2"
             )
         object.__setattr__(self, "_arity", arity(self.base) + 1)
+        object.__setattr__(self, "_run", _compile_primrec(self.base, self.step))
 
 
 @dataclass(frozen=True)
@@ -106,11 +221,14 @@ class Mu:
 
     body: RecFn
     _arity: int = field(init=False, repr=False, compare=False)
+    _run: Run = field(init=False, repr=False, compare=False)
+    _cost = None
 
     def __post_init__(self) -> None:
         if arity(self.body) < 1:
             raise IllFormedError("mu: body must have arity >= 1")
         object.__setattr__(self, "_arity", arity(self.body) - 1)
+        object.__setattr__(self, "_run", _compile_mu(self.body))
 
 
 def arity(term: RecFn) -> int:
@@ -141,23 +259,18 @@ class Diverged:
 EvalOutcome = Union[Value, Diverged]
 
 
-class _OutOfFuel(Exception):
-    pass
-
-
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, fuel: int) -> None:
-        self.remaining = fuel
-
-
 def evaluate(term: RecFn, args: tuple[int, ...] | list[int], fuel: int) -> EvalOutcome:
     """Run a term on a tuple of naturals under a fuel budget.
 
     Returns Value(v) when the computation finishes within the budget and
     Diverged(fuel) when the budget is exhausted.  Minimization probes
     y = 0, 1, 2, ... in order, so a returned witness is always least.
+
+    The budget counts one unit per constructor application.  A loop-free
+    subterm's node count is charged in one step when the subterm starts.
+    That moves the moment the budget runs out, never whether it does, so
+    the outcome is the one a node-by-node count gives, for every term,
+    argument tuple and budget.
     """
     args = tuple(args)
     if len(args) != arity(term):
@@ -166,39 +279,13 @@ def evaluate(term: RecFn, args: tuple[int, ...] | list[int], fuel: int) -> EvalO
         raise ArityMismatchError("arguments must be non-negative")
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    budget = _Budget(fuel)
+    budget = [fuel - _entry_charge(term)]
+    if budget[0] < 0:
+        return Diverged(fuel)
     try:
-        return Value(_run(term, args, budget))
+        return Value(term._run(args, budget))
     except _OutOfFuel:
         return Diverged(fuel)
-
-
-def _run(term: RecFn, args: tuple[int, ...], budget: _Budget) -> int:
-    budget.remaining -= 1
-    if budget.remaining < 0:
-        raise _OutOfFuel
-    t = type(term)
-    if t is Proj:
-        return args[term.i - 1]
-    if t is Zero:
-        return 0
-    if t is Succ:
-        return args[0] + 1
-    if t is Comp:
-        inner = tuple(_run(g, args, budget) for g in term.inner)
-        return _run(term.outer, inner, budget)
-    if t is PrimRec:
-        xs, y = args[:-1], args[-1]
-        acc = _run(term.base, xs, budget)
-        for k in range(y):
-            acc = _run(term.step, xs + (k, acc), budget)
-        return acc
-    # Mu: probe candidates in order; fuel bounds the search.
-    y = 0
-    while True:
-        if _run(term.body, args + (y,), budget) == 0:
-            return y
-        y += 1
 
 
 def conjugate_evaluate(
@@ -253,37 +340,54 @@ class _Parser:
             raise ProgramParseError(f"expected a natural number, got {tok!r}")
         return int(tok)
 
-    def term(self) -> RecFn:
-        tok = self.next()
-        if tok == "(":
-            head = self.next()
-            node = self.form(head)
-            self.expect(")")
-            return node
-        return self.form(tok, parenthesized=False)
-
-    def form(self, head: str, parenthesized: bool = True) -> RecFn:
+    def leaf(self, head: str) -> RecFn | None:
         if head == "proj":
             return Proj(self.natural(), self.natural())
         if head == "zero":
             return Zero(self.natural())
         if head == "succ":
             return Succ()
-        if not parenthesized:
-            raise ProgramParseError(f"unexpected token {head!r}")
-        if head == "comp":
-            outer = self.term()
-            inner = []
-            while self.peek() != ")":
-                if self.peek() is None:
-                    raise ProgramParseError("unterminated comp form")
-                inner.append(self.term())
-            return Comp(outer, tuple(inner))
-        if head == "primrec":
-            return PrimRec(self.term(), self.term())
-        if head == "mu":
-            return Mu(self.term())
-        raise ProgramParseError(f"unknown form {head!r}")
+        return None
+
+    def term(self) -> RecFn:
+        """Read one term.  Open forms wait on a stack, so nesting costs no recursion."""
+        open_forms: list[tuple[str, list[RecFn]]] = []
+        while True:
+            tok = self.next()
+            if tok == "(":
+                head = self.next()
+                node = self.leaf(head)
+                if node is None:
+                    if head not in ("comp", "primrec", "mu"):
+                        raise ProgramParseError(f"unknown form {head!r}")
+                    open_forms.append((head, []))
+                    continue
+                self.expect(")")
+            else:
+                node = self.leaf(tok)
+                if node is None:
+                    raise ProgramParseError(f"unexpected token {tok!r}")
+            # hand the finished term to the innermost open form, closing each form it completes
+            while open_forms:
+                head, parts = open_forms[-1]
+                parts.append(node)
+                if head == "comp":
+                    ahead = self.peek()
+                    if ahead is None:
+                        raise ProgramParseError("unterminated comp form")
+                    if ahead != ")":
+                        break
+                    node = Comp(parts[0], tuple(parts[1:]))
+                elif head == "primrec":
+                    if len(parts) < 2:
+                        break
+                    node = PrimRec(*parts)
+                else:
+                    node = Mu(*parts)
+                open_forms.pop()
+                self.expect(")")
+            if not open_forms:
+                return node
 
 
 def parse_program(text: str) -> RecFn:
@@ -298,19 +402,32 @@ def parse_program(text: str) -> RecFn:
 
 
 def format_program(term: RecFn) -> str:
-    t = type(term)
-    if t is Proj:
-        return f"proj {term.p} {term.i}"
-    if t is Zero:
-        return f"zero {term.p}"
-    if t is Succ:
-        return "succ"
-    if t is Comp:
-        parts = " ".join(format_program(g) for g in (term.outer, *term.inner))
-        return f"(comp {parts})"
-    if t is PrimRec:
-        return f"(primrec {format_program(term.base)} {format_program(term.step)})"
-    return f"(mu {format_program(term.body)})"
+    """Canonical program text of a term, built on an explicit stack and joined once."""
+    out: list[str] = []
+    todo: list[RecFn | str] = [term]
+    while todo:
+        item = todo.pop()
+        t = type(item)
+        if t is str:
+            out.append(item)
+        elif t is Proj:
+            out.append(f"proj {item.p} {item.i}")
+        elif t is Zero:
+            out.append(f"zero {item.p}")
+        elif t is Succ:
+            out.append("succ")
+        else:
+            if t is Comp:
+                head, parts = "(comp", (item.outer, *item.inner)
+            elif t is PrimRec:
+                head, parts = "(primrec", (item.base, item.step)
+            else:
+                head, parts = "(mu", (item.body,)
+            out.append(head)
+            todo.append(")")
+            for part in reversed(parts):
+                todo += (part, " ")
+    return "".join(out)
 
 
 def load_program(path: str) -> RecFn:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import DomainError
@@ -164,8 +165,9 @@ _EPS_PALETTE = (
 )
 
 
-def _adversarial_points(domain: Interval) -> list[Fraction]:
-    """Endpoints, midpoint, the fold at 1/2, and a dyadic grid."""
+@lru_cache(maxsize=64)
+def _adversarial_points(domain: Interval) -> tuple[Fraction, ...]:
+    """Endpoints, midpoint, the fold at 1/2, and a dyadic grid; first occurrences, in order."""
     pts = [domain.lo, domain.hi, (domain.lo + domain.hi) / 2]
     if domain.lo <= HALF <= domain.hi:
         pts.append(HALF)
@@ -173,11 +175,7 @@ def _adversarial_points(domain: Interval) -> list[Fraction]:
     for j in range(1, 7):
         for k in range(1, 2**j):
             pts.append(domain.lo + width * Fraction(k, 2**j))
-    seen: list[Fraction] = []
-    for p in pts:
-        if p not in seen:
-            seen.append(p)
-    return seen
+    return tuple(dict.fromkeys(pts))
 
 
 def _random_in(domain: Interval, rng: random.Random) -> Fraction:

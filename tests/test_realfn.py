@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactdyn import baker
+from exactdyn import baker, realfn
 from exactdyn.errors import DomainError
 from exactdyn.realfn import (
     UNIT,
@@ -86,3 +86,30 @@ def test_interval_basics():
     assert box.clamp(Fraction(7, 2)) == 1
     with pytest.raises(DomainError):
         Interval(Fraction(1), Fraction(0))
+
+
+def _adversarial_points_by_list_scan(domain: Interval) -> list[Fraction]:
+    """The points deduplicated by scanning a list with ==, as before the hashed version."""
+    pts = [domain.lo, domain.hi, (domain.lo + domain.hi) / 2]
+    if domain.lo <= Fraction(1, 2) <= domain.hi:
+        pts.append(Fraction(1, 2))
+    width = domain.hi - domain.lo
+    for j in range(1, 7):
+        for k in range(1, 2**j):
+            pts.append(domain.lo + width * Fraction(k, 2**j))
+    seen: list[Fraction] = []
+    for p in pts:
+        if p not in seen:
+            seen.append(p)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 1), (0, 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 2), 2), (-2, Fraction(5, 7)), (0, Fraction(1, 2))],
+)
+def test_adversarial_points_match_the_list_scan(lo, hi):
+    domain = Interval(Fraction(lo), Fraction(hi))
+    got = realfn._adversarial_points(domain)
+    assert got == tuple(_adversarial_points_by_list_scan(domain))
+    assert realfn._adversarial_points(Interval(Fraction(lo), Fraction(hi))) is got
