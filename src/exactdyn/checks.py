@@ -62,11 +62,11 @@ def _check(name: str, body: Callable[[], str | None]) -> CheckResult:
 # --- seeded samplers (shared with the test suite) ---
 
 
-def seeded_rationals(rng: random.Random, count: int, digit_cap: int = 9) -> list[Fraction]:
+def seeded_rationals(rng: random.Random, count: int) -> list[Fraction]:
     """Canonical rationals of varied magnitude, reduced by construction."""
     out = []
     for _ in range(count):
-        digits = rng.randrange(1, digit_cap)
+        digits = rng.randrange(1, 9)
         num = rng.randrange(0, 10**digits)
         den = rng.randrange(1, 10**digits)
         q = Fraction(num, den)
@@ -74,10 +74,10 @@ def seeded_rationals(rng: random.Random, count: int, digit_cap: int = 9) -> list
     return out
 
 
-def seeded_unit_rationals(rng: random.Random, count: int, den_cap: int = 10**4) -> list[Fraction]:
+def seeded_unit_rationals(rng: random.Random, count: int) -> list[Fraction]:
     out = []
     for _ in range(count):
-        den = rng.randrange(1, den_cap)
+        den = rng.randrange(1, 10**4)
         out.append(Fraction(rng.randrange(0, den + 1), den))
     return out
 

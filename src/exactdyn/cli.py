@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import baker, dissipative, grid, murec, readout, realfn
 from .encoding import Encoding, decode_rational, encode_rational, translate
@@ -360,15 +360,19 @@ def _render_cell(value: object, decimals: Optional[int]) -> list[str]:
     return [str(value)]
 
 
-def render_plain(result: CommandResult) -> str:
-    lines = []
+def _payload_items(result: CommandResult) -> Iterator[tuple[str, object]]:
+    """Payload pairs, each Fraction as its text and then, with decimals on, ``key_dec``."""
     for key, value in result.payload.items():
         if isinstance(value, Fraction):
-            lines.append(f"{key}={format_rational(value)}")
+            yield key, format_rational(value)
             if result.decimals is not None:
-                lines.append(f"{key}_dec={truncate_decimal(value, result.decimals)}")
+                yield f"{key}_dec", truncate_decimal(value, result.decimals)
         else:
-            lines.append(f"{key}={value}")
+            yield key, value
+
+
+def render_plain(result: CommandResult) -> str:
+    lines = [f"{key}={value}" for key, value in _payload_items(result)]
     for row in result.rows:
         cells: list[str] = []
         for value in row:
@@ -381,15 +385,7 @@ def render_structured(result: CommandResult) -> str:
     doc: dict = {"status": result.status}
     if result.message:
         doc["message"] = result.message
-    payload: dict = {}
-    for key, value in result.payload.items():
-        if isinstance(value, Fraction):
-            payload[key] = format_rational(value)
-            if result.decimals is not None:
-                payload[f"{key}_dec"] = truncate_decimal(value, result.decimals)
-        else:
-            payload[key] = value
-    doc["payload"] = payload
+    doc["payload"] = dict(_payload_items(result))
     if result.rows:
         doc["rows"] = [
             [cell for value in row for cell in _render_cell(value, result.decimals)]

@@ -11,17 +11,18 @@ budget runs out.  ``Diverged`` is a verdict about the budget, never a
 claim that the denoted function is undefined.
 
 Each term is compiled when it is built, into a closure made from its
-children's closures.  A subterm with no primitive recursion or
-minimization inside visits the same nodes on every run, so it runs
-without looking at the budget: its node count is charged in one step
-when it starts, by the enclosing recursion or minimization step (or the
-composition or ``evaluate`` call that runs it).  Primitive recursion and
-minimization charge their own unit, then each body call's fixed cost
-before the call.  Charging a fixed cost when a subterm starts instead of
-node by node moves the moment the budget runs out, never whether it
-does: evaluation is deterministic and stops only by finishing or by
-running out of fuel, so every budget gives the same ``Value`` or
-``Diverged`` as counting one node at a time.
+children's closures, and carries the fuel it is sure to spend once it
+starts: one unit for a leaf; its own unit plus its parts' for a
+composition; its own unit plus its base's for primitive recursion; its
+own unit for minimization.  Whoever starts a term charges that fixed
+cost first: ``evaluate``, or the enclosing recursion step or
+minimization probe.  Primitive recursion and minimization charge each
+later body call's fixed cost before they make it.  Charging a fixed cost
+when a term starts instead of node by node moves the moment the budget
+runs out, never whether it does: every charged amount is spent before a
+successful run ends, every increase of the total is checked, and each
+loop iteration costs at least one unit, so every budget gives the same
+``Value`` or ``Diverged`` as counting one node at a time.
 
 Terms can be read from text, one term per file::
 
@@ -39,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .encoding import Encoding, decode_rational, encode_rational
 from .errors import ArityMismatchError, IllFormedError, ProgramParseError
@@ -47,21 +48,16 @@ from .errors import ArityMismatchError, IllFormedError, ProgramParseError
 RecFn = Union["Proj", "Zero", "Succ", "Comp", "PrimRec", "Mu"]
 
 # A compiled term runs as ``_run(args, budget)``, where ``budget`` is the
-# one-item list [fuel remaining] of the current evaluation.  A term with
-# ``_cost`` set (its node count) is loop-free and never touches the
-# budget: whoever runs it charges ``_cost`` first.  A term with ``_cost``
-# None contains PrimRec or Mu and charges everything it spends itself.
-# Every node computes both once, when it is built, from its children's.
+# one-item list [fuel remaining] of the current evaluation.  ``_cost`` is
+# the fuel a term is sure to spend once it starts; whoever starts the term
+# charges it first, so a closure touches the budget only before a later
+# recursion step or minimization probe.  Every node computes both once,
+# when it is built, from its children's.
 Run = Callable[[tuple[int, ...], list[int]], int]
 
 
 class _OutOfFuel(Exception):
     pass
-
-
-def _entry_charge(term: RecFn) -> int:
-    """Fuel a caller charges before running term: all of a loop-free one, none of the rest."""
-    return 0 if term._cost is None else term._cost
 
 
 def _zero(args: tuple[int, ...], budget: list[int]) -> int:
@@ -72,34 +68,18 @@ def _succ(args: tuple[int, ...], budget: list[int]) -> int:
     return args[0] + 1
 
 
-def _compile_comp(outer: RecFn, inner: tuple[RecFn, ...]) -> tuple[Optional[int], Run]:
+def _compile_comp(outer: RecFn, inner: tuple[RecFn, ...]) -> Run:
     f, gs = outer._run, tuple([g._run for g in inner])
-    costs = [outer._cost] + [g._cost for g in inner]
-    if None in costs:
-        charge = 1 + sum(c for c in costs if c is not None)
-
-        def run(args: tuple[int, ...], budget: list[int]) -> int:
-            budget[0] -= charge
-            if budget[0] < 0:
-                raise _OutOfFuel
-            return f(tuple([g(args, budget) for g in gs]), budget)
-
-        return None, run
-    charge = 1 + sum(costs)
     if len(gs) == 1:
         (g,) = gs
-        return charge, lambda args, budget: f((g(args, budget),), budget)
-    return charge, lambda args, budget: f(tuple([g(args, budget) for g in gs]), budget)
+        return lambda args, budget: f((g(args, budget),), budget)
+    return lambda args, budget: f(tuple([g(args, budget) for g in gs]), budget)
 
 
 def _compile_primrec(base: RecFn, step: RecFn) -> Run:
-    charge, step_cost = 1 + _entry_charge(base), _entry_charge(step)
-    run_base, run_step = base._run, step._run
+    step_cost, run_base, run_step = step._cost, base._run, step._run
 
     def run(args: tuple[int, ...], budget: list[int]) -> int:
-        budget[0] -= charge
-        if budget[0] < 0:
-            raise _OutOfFuel
         xs = args[:-1]
         acc = run_base(xs, budget)
         for k in range(args[-1]):
@@ -113,12 +93,9 @@ def _compile_primrec(base: RecFn, step: RecFn) -> Run:
 
 
 def _compile_mu(body: RecFn) -> Run:
-    probe_cost, probe = _entry_charge(body), body._run
+    probe_cost, probe = body._cost, body._run
 
     def run(args: tuple[int, ...], budget: list[int]) -> int:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _OutOfFuel
         # probe candidates in order; fuel bounds the search
         y = 0
         while True:
@@ -176,7 +153,7 @@ class Comp:
     outer: RecFn
     inner: tuple[RecFn, ...]
     _arity: int = field(init=False, repr=False, compare=False)
-    _cost: Optional[int] = field(init=False, repr=False, compare=False)
+    _cost: int = field(init=False, repr=False, compare=False)
     _run: Run = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -190,10 +167,9 @@ class Comp:
         arities = {arity(g) for g in self.inner}
         if len(arities) != 1:
             raise IllFormedError(f"comp: inner terms disagree on arity: {sorted(arities)}")
-        cost, run = _compile_comp(self.outer, self.inner)
         object.__setattr__(self, "_arity", arities.pop())
-        object.__setattr__(self, "_cost", cost)
-        object.__setattr__(self, "_run", run)
+        object.__setattr__(self, "_cost", 1 + self.outer._cost + sum([g._cost for g in self.inner]))
+        object.__setattr__(self, "_run", _compile_comp(self.outer, self.inner))
 
 
 @dataclass(frozen=True)
@@ -203,8 +179,8 @@ class PrimRec:
     base: RecFn
     step: RecFn
     _arity: int = field(init=False, repr=False, compare=False)
+    _cost: int = field(init=False, repr=False, compare=False)
     _run: Run = field(init=False, repr=False, compare=False)
-    _cost = None
 
     def __post_init__(self) -> None:
         if arity(self.step) != arity(self.base) + 2:
@@ -212,6 +188,7 @@ class PrimRec:
                 f"primrec: step arity {arity(self.step)} != base arity {arity(self.base)} + 2"
             )
         object.__setattr__(self, "_arity", arity(self.base) + 1)
+        object.__setattr__(self, "_cost", 1 + self.base._cost)
         object.__setattr__(self, "_run", _compile_primrec(self.base, self.step))
 
 
@@ -222,7 +199,7 @@ class Mu:
     body: RecFn
     _arity: int = field(init=False, repr=False, compare=False)
     _run: Run = field(init=False, repr=False, compare=False)
-    _cost = None
+    _cost = 1
 
     def __post_init__(self) -> None:
         if arity(self.body) < 1:
@@ -266,11 +243,11 @@ def evaluate(term: RecFn, args: tuple[int, ...] | list[int], fuel: int) -> EvalO
     Diverged(fuel) when the budget is exhausted.  Minimization probes
     y = 0, 1, 2, ... in order, so a returned witness is always least.
 
-    The budget counts one unit per constructor application.  A loop-free
-    subterm's node count is charged in one step when the subterm starts.
-    That moves the moment the budget runs out, never whether it does, so
-    the outcome is the one a node-by-node count gives, for every term,
-    argument tuple and budget.
+    The budget counts one unit per constructor application.  Each term's
+    fixed cost is charged in one step when the term starts, the whole
+    term's here and a loop body's before each call.  That moves the moment
+    the budget runs out, never whether it does, so the outcome is the one
+    a node-by-node count gives, for every term, argument tuple and budget.
     """
     args = tuple(args)
     if len(args) != arity(term):
@@ -279,7 +256,7 @@ def evaluate(term: RecFn, args: tuple[int, ...] | list[int], fuel: int) -> EvalO
         raise ArityMismatchError("arguments must be non-negative")
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    budget = [fuel - _entry_charge(term)]
+    budget = [fuel - term._cost]
     if budget[0] < 0:
         return Diverged(fuel)
     try:

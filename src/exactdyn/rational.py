@@ -38,20 +38,6 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def sign_flag(q: Fraction) -> int:
-    """0 for q >= 0, 1 for q < 0."""
-    return 1 if q < 0 else 0
-
-
-def abs_numerator(q: Fraction) -> int:
-    """Numerator of the reduced form, without its sign."""
-    return abs(q.numerator)
-
-
-def denominator(q: Fraction) -> int:
-    return q.denominator
-
-
 def require_unit_interval(q: Fraction, what: str = "value") -> Fraction:
     if q < 0 or q > 1:
         raise DomainError(f"{what} {format_rational(q)} outside [0,1]")

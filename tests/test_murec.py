@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -64,21 +63,6 @@ def test_determinism():
     for args in ((0, 0), (7, 9), (50, 1)):
         outcomes = {evaluate(ADD, args, FUEL) for _ in range(5)}
         assert len(outcomes) == 1
-
-
-def test_mu_returns_least_witness():
-    sub = murec.builtin_program("truncated_subtraction")
-    lookup = Mu(sub)  # least y with x - y = 0, i.e. y = x
-    for x in (0, 1, 2, 9, 31):
-        assert evaluate(lookup, (x,), FUEL) == Value(x)
-        for z in range(x):
-            probe = evaluate(sub, (x, z), FUEL)
-            assert isinstance(probe, Value) and probe.value != 0
-
-
-def test_conjugate_propagates_divergence():
-    got = murec.conjugate_evaluate(DIVERGENT, (Fraction(0),), 10**3)
-    assert got == Diverged(10**3)
 
 
 # --- the compiled evaluator against the recursive one it replaced ---
@@ -180,6 +164,10 @@ def test_fixed_costs_are_charged_up_front_with_the_same_boundary():
     assert _reference(ADD, (3, 2), FUEL) == (Value(5), 8)
     assert evaluate(ADD, (3, 2), 7) == Diverged(7)
     assert evaluate(ADD, (3, 2), 8) == Value(5)
+    # a loop under a composition: its starter charges the loop's fixed cost with its own
+    bumped = Comp(Succ(), (ADD,))
+    assert evaluate(bumped, (3, 2), 9) == Diverged(9)
+    assert evaluate(bumped, (3, 2), 10) == Value(6)
 
 
 def test_deep_chains_evaluate_without_recursion_error():
