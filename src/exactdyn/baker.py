@@ -8,9 +8,10 @@ a'/2^n are within 1/2^n of each other yet land exactly on a and a' after
 n steps.  ``sensitivity_witness`` constructs that pair for any requested
 closeness and any two target positions, as an exactly checkable record.
 
-``iterate`` and ``orbit`` run on the integer fold of ``grid``, reading
-p/q as grid index p at resolution q; ``iterate`` cuts through the first
-cycle it meets, so n may be astronomically large.
+``iterate`` and ``orbit`` run on the integer kernels of ``grid``,
+reading p/q as grid index p at resolution q.  ``iterate`` is closed-form,
+T^n(p/q) = dist(2^n p/q, 2Z) (``grid.fold_power``), so it costs O(log n)
+integer operations and n may be astronomically large.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def iterate(x: Fraction, n: int) -> Fraction:
     if n < 0:
         raise DomainError("step count must be non-negative")
     q = require_unit_interval(x, "position").denominator
-    return Fraction(grid.advance(x.numerator, lambda i: grid.fold(i, q), n), q)
+    return Fraction(grid.fold_power(x.numerator, q, n), q)
 
 
 def orbit(x: Fraction, n: int) -> list[Fraction]:
@@ -106,9 +107,8 @@ def sensitivity_witness(eta: Fraction, a: Fraction, b: Fraction) -> SensitivityW
         raise DomainError("eta must be positive")
     require_unit_interval(a, "target")
     require_unit_interval(b, "target")
-    n = 0
-    while 2**n * eta < 1:
-        n += 1
+    # least n with 2^n >= 1/eta, that is with 2^n >= ceil(1/eta)
+    n = (-(-eta.denominator // eta.numerator) - 1).bit_length()
     pow2 = 2**n
     witness = SensitivityWitness(
         start_a=a / pow2,

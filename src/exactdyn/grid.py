@@ -6,14 +6,21 @@ the exact rational dynamics with no rounding rule at all.  ``fold`` is
 the one place the two branches are written on integers; the exact view
 reads p/q as index p at resolution q.  On a finite state space,
 closeness below half the minimal spacing already forces equality, and
-every orbit is eventually periodic by pigeonhole, so ``advance`` cuts
-an n-step iterate through the first cycle: n may be astronomically large.
+every orbit is eventually periodic by pigeonhole.
+
+n-step iterates are closed-form: dist(y, 2Z) is even and 2-periodic, so
+T(dist(y, 2Z)) = dist(2y, 2Z) and by induction T^n(x) = dist(2^n x, 2Z).
+``fold_power`` evaluates this on indices in O(log n) integer operations,
+so n may be astronomically large.  The cycle entry of an orbit follows
+from the 2-adic valuation of its reduced denominator.  ``advance`` (Brent's
+cycle finder) iterates any map on a finite set; ``readout.reach`` uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, TypeVar
 
 from .errors import InvalidStateError
@@ -49,6 +56,15 @@ def fold(i: int, resolution: int) -> int:
     return doubled if doubled <= resolution else 2 * resolution - doubled
 
 
+def fold_power(i: int, resolution: int, n: int) -> int:
+    """fold applied n times to i: T^n(i/N) = dist(2^n i/N, 2Z), on indices."""
+    if n < 0:
+        raise InvalidStateError("step count must be non-negative")
+    period = 2 * resolution
+    r = pow(2, n, period) * i % period
+    return min(r, period - r)
+
+
 def advance(x: T, f: Callable[[T], T], n: int) -> T:
     """f applied n times to x, cutting through the first cycle met.
 
@@ -75,7 +91,8 @@ def step(s: GridState) -> GridState:
 
 
 def iterate(s: GridState, n: int) -> GridState:
-    return GridState(s.resolution, advance(s.index, lambda i: fold(i, s.resolution), n))
+    """n-fold step in closed form (``fold_power``); n = 0 returns s unchanged."""
+    return GridState(s.resolution, fold_power(s.index, s.resolution, n))
 
 
 def table(resolution: int) -> list[tuple[int, int]]:
@@ -102,14 +119,29 @@ def orbit_with_cycle(s: GridState) -> tuple[list[int], int, int]:
 
     Returns (orbit, entry, length) where orbit lists the distinct states
     in visit order, orbit[entry:] is the cycle, and length = len(orbit) -
-    entry.  Pigeonhole bounds the search by N + 2 steps.
+    entry.  The entry is closed-form: reduce i/N to p/q and write
+    q = 2^a m with m odd.  If a > 0, p is odd, and each step halves the
+    power of two and keeps the numerator odd, so a steps reach an odd
+    numerator over m.  Every image of a state over m has an even
+    numerator, and on even numerators the map is a bijection (2 is a unit
+    mod m), so they are exactly the periodic states.  The entry is thus
+    a + (p mod 2): 0 for p = 0, a + 1 for a dyadic p/2^a, a + (p mod 2)
+    otherwise.  The orbit is listed with ``fold`` until the entry state
+    comes round again, at most N + 2 states.
     """
-    first_seen: dict[int, int] = {}
+    resolution, i = s.resolution, s.index
+    g = gcd(i, resolution)
+    p, q = i // g, resolution // g
+    a = (q & -q).bit_length() - 1
+    entry = a + p % 2
     orbit: list[int] = []
-    i = s.index
-    while i not in first_seen:
-        first_seen[i] = len(orbit)
+    for _ in range(entry):
         orbit.append(i)
-        i = fold(i, s.resolution)
-    entry = first_seen[i]
-    return orbit, entry, len(orbit) - entry
+        i = fold(i, resolution)
+    start = i
+    for _ in range(resolution + 1):
+        orbit.append(i)
+        i = fold(i, resolution)
+        if i == start:
+            return orbit, entry, len(orbit) - entry
+    raise AssertionError(f"entry {entry} of {s.index}/{resolution} is not on its cycle")

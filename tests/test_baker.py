@@ -88,6 +88,24 @@ def test_witness_examples():
     assert w.steps == 0 and w.start_gap <= w.eta
 
 
+def _witness_steps_by_loop(eta: Fraction) -> int:
+    # reference: the least n with 2^n * eta >= 1, found by counting up
+    n = 0
+    while 2**n * eta < 1:
+        n += 1
+    return n
+
+
+def test_witness_steps_match_counting_loop():
+    etas = [Fraction(1), Fraction(3)]
+    for k in range(60):
+        near = Fraction(1, 2 ** (2 * k + 9))
+        etas += [Fraction(1, 2**k), Fraction(1, 2**k) - near, Fraction(1, 2**k) + near]
+    for eta in etas:
+        w = baker.sensitivity_witness(eta, Fraction(0), Fraction(1))
+        assert w.steps == _witness_steps_by_loop(eta)
+
+
 def test_witness_rejects_bad_inputs():
     with pytest.raises(DomainError):
         baker.sensitivity_witness(Fraction(0), Fraction(0), Fraction(1))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactdyn import grid
 from exactdyn.errors import InvalidStateError
@@ -55,6 +56,54 @@ def test_advance_matches_plain_loop():
                 x = f(x)
     with pytest.raises(InvalidStateError):
         grid.advance(0, lambda i: i, -1)
+
+
+def test_fold_power_matches_stepwise_iteration():
+    # reference: the fold applied n times through Brent's cycle finder
+    for n_res in range(1, 41):
+        f = lambda j, n_res=n_res: grid.fold(j, n_res)
+        for i in range(n_res + 1):
+            for n in range(3 * n_res + 4):
+                assert grid.fold_power(i, n_res, n) == grid.advance(i, f, n)
+    with pytest.raises(InvalidStateError):
+        grid.fold_power(1, 3, -1)
+    with pytest.raises(InvalidStateError):
+        grid.iterate(GridState(3, 1), -1)
+
+
+@st.composite
+def _grid_points(draw):
+    n_res = draw(st.integers(1, 10**40))
+    return draw(st.integers(0, n_res)), n_res
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_grid_points(), st.integers(0, 10**100), st.integers(0, 10**100))
+def test_fold_power_composes(point, a, b):
+    i, n_res = point
+    after_a = grid.fold_power(i, n_res, a)
+    assert grid.fold_power(after_a, n_res, b) == grid.fold_power(i, n_res, a + b)
+    assert grid.fold_power(i, n_res, a + 1) == grid.fold(after_a, n_res)
+
+
+def _orbit_with_cycle_by_table(s: GridState) -> tuple[list[int], int, int]:
+    # reference: step until a state repeats, remembering where each was first seen
+    first_seen: dict[int, int] = {}
+    orbit: list[int] = []
+    i = s.index
+    while i not in first_seen:
+        first_seen[i] = len(orbit)
+        orbit.append(i)
+        i = grid.fold(i, s.resolution)
+    entry = first_seen[i]
+    return orbit, entry, len(orbit) - entry
+
+
+def test_orbit_with_cycle_matches_table_search():
+    for n_res in range(1, 201):
+        for i in range(n_res + 1):
+            state = GridState(n_res, i)
+            assert grid.orbit_with_cycle(state) == _orbit_with_cycle_by_table(state)
 
 
 def test_orbit_with_cycle_fixed_point():
