@@ -10,7 +10,11 @@ rational.  Runs are deterministic for a fixed argv and ``--seed``.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (also a failing
 ``check``), 3 fuel exhausted (also a ``check`` that ran out of fuel
-before it could decide), 4 invalid code.
+before it could decide), 4 invalid code.  An output that would pass
+``OUTPUT_BOUND`` rows or readouts is a usage error, refused before any
+row is built: ``measured-reach`` checks its run's length, ``grid-sim``
+and ``grid-table`` resolution + 1, ``baker-orbit`` steps + 1, and
+``baker-approx``, whose exact accuracy grows by a bit a step, its steps.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ STATUS_USAGE = "usage_error"
 STATUS_DOMAIN = "domain_error"
 STATUS_DIVERGED = "diverged"
 STATUS_NOT_A_CODE = "not_a_code"
+
+OUTPUT_BOUND = 10**6 + 1  # every reach run at d <= 6 still prints
 
 EXIT_CODES = {
     STATUS_OK: 0,
@@ -86,6 +92,11 @@ def _encoding_arg(text: str) -> Encoding:
         raise argparse.ArgumentTypeError(
             f"unknown encoding {text!r} (canonical or alternative)"
         ) from None
+
+
+def _require_output_bound(count: int, what: str) -> None:
+    if count > OUTPUT_BOUND:
+        raise _UsageError(f"{count} {what} exceed the output bound of {OUTPUT_BOUND}")
 
 
 def _nonneg_int(text: str) -> int:
@@ -217,12 +228,14 @@ def _cmd_baker_step(ns: argparse.Namespace, res: CommandResult) -> None:
 def _cmd_baker_orbit(ns: argparse.Namespace, res: CommandResult) -> None:
     if res.decimals is None:
         res.decimals = 6  # orbit rows always carry a decimal column
+    _require_output_bound(ns.steps + 1, "orbit rows")
     res.payload["x0"] = ns.x
     res.payload["steps"] = ns.steps
     res.rows = list(enumerate(baker.orbit(ns.x, ns.steps)))
 
 
 def _cmd_baker_approx(ns: argparse.Namespace, res: CommandResult) -> None:
+    _require_output_bound(ns.steps, "steps")
     fn = baker.as_real_fn(ns.steps)
     res.payload["steps"] = ns.steps
     res.payload["epsilon"] = ns.epsilon
@@ -238,6 +251,7 @@ def _cmd_sensitivity(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_grid_sim(ns: argparse.Namespace, res: CommandResult) -> None:
+    _require_output_bound(ns.resolution + 1, "grid states")
     state = grid.GridState(ns.resolution, ns.index)
     orbit, entry, length = grid.orbit_with_cycle(state)
     res.payload["resolution"] = ns.resolution
@@ -249,6 +263,7 @@ def _cmd_grid_sim(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_grid_table(ns: argparse.Namespace, res: CommandResult) -> None:
+    _require_output_bound(ns.resolution + 1, "table rows")
     res.payload["resolution"] = ns.resolution
     res.rows = grid.table(ns.resolution)
 
@@ -263,7 +278,9 @@ def _cmd_measured_reach(ns: argparse.Namespace, res: CommandResult) -> None:
     m = readout.parse_readout(ns.readout, ns.d)
     res.payload["readout"] = m.text
     res.payload["steps"] = ns.steps
-    res.payload["reachable"] = ",".join(readout.reach(m, ns.steps).texts())
+    run = readout.reach(m, ns.steps)
+    _require_output_bound(run.hi - run.lo + 1, "readouts")  # len() stops at sys.maxsize
+    res.payload["reachable"] = ",".join(run.texts())
 
 
 def _cmd_limit_demo(ns: argparse.Namespace, res: CommandResult) -> None:

@@ -12,8 +12,7 @@ n-step iterates are closed-form: dist(y, 2Z) is even and 2-periodic, so
 T(dist(y, 2Z)) = dist(2y, 2Z) and by induction T^n(x) = dist(2^n x, 2Z).
 ``fold_power`` evaluates this on indices in O(log n) integer operations,
 so n may be astronomically large.  The cycle entry of an orbit follows
-from the 2-adic valuation of its reduced denominator.  ``advance`` (Brent's
-cycle finder) iterates any map on a finite set; ``readout.reach`` uses it.
+from the 2-adic valuation of its reduced denominator.
 """
 
 from __future__ import annotations
@@ -21,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, TypeVar
 
 from .errors import InvalidStateError
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,27 +59,6 @@ def fold_power(i: int, resolution: int, n: int) -> int:
     period = 2 * resolution
     r = pow(2, n, period) * i % period
     return min(r, period - r)
-
-
-def advance(x: T, f: Callable[[T], T], n: int) -> T:
-    """f applied n times to x, cutting through the first cycle met.
-
-    Brent's cycle finder (BIT 1980): the tortoise jumps to the hare at
-    every power-of-two step count, so only two states are held; once they
-    meet, their distance is a period.  f is applied at most n times.
-    """
-    if n < 0:
-        raise InvalidStateError("step count must be non-negative")
-    tortoise, mark = x, 0
-    for k in range(1, n + 1):
-        x = f(x)
-        if x == tortoise:
-            for _ in range((n - k) % (k - mark)):
-                x = f(x)
-            return x
-        if k & (k - 1) == 0:
-            tortoise, mark = x, k
-    return x
 
 
 def step(s: GridState) -> GridState:

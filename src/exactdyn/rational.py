@@ -9,6 +9,7 @@ omitted when the denominator is 1 (``-1/3``, ``0``, ``7``).
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -32,10 +33,18 @@ def parse_rational(text: str) -> Fraction:
     return -value if sign else value
 
 
+def _digits(n: int) -> str:
+    """n in decimal at any size: str() stops at sys.get_int_max_str_digits()."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def require_unit_interval(q: Fraction, what: str = "value") -> Fraction:

@@ -13,9 +13,11 @@ that image, and single shared points count (the fold point 1/2 maps to 1
 exactly).  Sampling alone would miss such measure-zero witnesses, which
 is why the endpoints are bookkept instead of sampled.
 
-The readouts reachable in n steps always form one run of consecutive
-readouts, so ``reach`` carries just the run's two ends and cuts through
-the first cycle it meets; n may be astronomically large.
+Every successor set, and every set of readouts reachable in n steps, is
+one run of consecutive readouts, so ``SuccessorSet`` holds just the run's
+two ends.  ``reach`` steps the run until it equals its own image, which
+happens within (10^d).bit_length() + 1 steps; n may be astronomically
+large.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from . import grid
 from .errors import InvalidStateError
 from .rational import HALF, ONE, ZERO, require_unit_interval
 
@@ -130,27 +131,30 @@ def measure(x: Fraction, digits: int) -> Readout:
 
 @dataclass(frozen=True)
 class SuccessorSet:
+    """One run lo..hi of consecutive d-digit readout indices."""
+
     digits: int
-    members: tuple[int, ...]
+    lo: int
+    hi: int
 
     def __post_init__(self) -> None:
-        if not self.members:
-            raise InvalidStateError("successor set must be nonempty")
-        top = 10**self.digits
-        if list(self.members) != sorted(set(self.members)) or not all(
-            0 <= k <= top for k in self.members
-        ):
-            raise InvalidStateError("members must be distinct ascending readout indices")
+        if not 0 <= self.lo <= self.hi <= 10**self.digits:
+            raise InvalidStateError(
+                f"{self.lo}..{self.hi} is not a run of readouts in 0..10^{self.digits}"
+            )
 
-    def readouts(self) -> Iterator[Readout]:
-        for k in self.members:
-            yield Readout(self.digits, k)
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple(range(self.lo, self.hi + 1))
 
     def texts(self) -> list[str]:
-        return [r.text for r in self.readouts()]
+        return [Readout(self.digits, k).text for k in range(self.lo, self.hi + 1)]
 
     def __contains__(self, index: int) -> bool:
-        return index in self.members
+        return self.lo <= index <= self.hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo + 1
 
 
 def _branch_images(span: Span) -> list[tuple[Span, bool]]:
@@ -196,8 +200,9 @@ def _meetings(m: Readout) -> Iterator[tuple[int, Span, bool]]:
 
 
 def successors(m: Readout) -> SuccessorSet:
-    """Exactly the readouts of step images of points in m's cell."""
-    return SuccessorSet(m.digits, tuple(sorted({k for k, _, _ in _meetings(m)})))
+    """Exactly the readouts of step images of points in m's cell: one run."""
+    met = [k for k, _, _ in _meetings(m)]
+    return SuccessorSet(m.digits, min(met), max(met))
 
 
 def successor_witnesses(m: Readout) -> dict[int, Fraction]:
@@ -231,18 +236,29 @@ def reach(m: Readout, n: int) -> SuccessorSet:
     rises left of 1/2 and falls right of it, so the image's extremes are
     taken in the run's two end cells or in cell 10^d/2, which holds 1/2:
     the next run is bounded by the successors of those cells alone.
-    Runs live on a finite set, so grid.advance cuts through their cycle.
+
+    Runs settle on the full run 0..10^d within (10^d).bit_length() + 1
+    steps.  A measured run holds the readouts of the exact image
+    T^n(cell), and T^n(x) = dist(2^n x, 2Z) stretches a cell of width
+    1/10^d over a half-open interval of length 2^n/10^d.  Once that is
+    at least 2 it spans a period of dist(., 2Z), so T^n(cell) = [0,1]
+    and the run is full.  The top cell {1} steps to cell 0 = [0, 1/10^d),
+    which then needs only 2^(n-1) > 10^d.  The full run is its own image,
+    so the loop stops at the first run equal to its image, long before
+    an astronomical n.
     """
+    if n < 0:
+        raise InvalidStateError("step count must be non-negative")
     half = 10**m.digits // 2
-
-    def image(run: tuple[int, int]) -> tuple[int, int]:
-        lo, hi = run
+    lo = hi = m.index
+    for _ in range(n):
         cells = (lo, hi, half) if lo <= half <= hi else (lo, hi)
-        ends = [j for k in cells for j in successors(Readout(m.digits, k)).members]
-        return min(ends), max(ends)
-
-    lo, hi = grid.advance((m.index, m.index), image, n)
-    return SuccessorSet(m.digits, tuple(range(lo, hi + 1)))
+        runs = [successors(Readout(m.digits, k)) for k in cells]
+        image = min(r.lo for r in runs), max(r.hi for r in runs)
+        if image == (lo, hi):
+            break
+        lo, hi = image
+    return SuccessorSet(m.digits, lo, hi)
 
 
 def separation_eta(digits: int) -> Fraction:

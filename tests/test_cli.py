@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -195,6 +196,58 @@ def test_negative_decimals_is_a_usage_error():
 def test_measured_reach_astronomical_steps():
     code, out, _ = run_cli("measured-reach", "--d", "2", "--readout", "0.25", "--steps", str(10**9))
     assert code == 0 and out.count(",") > 10  # large reachable set, instantly
+
+
+def test_measured_reach_rejects_negative_steps():
+    code, out, err = run_cli("measured-reach", "--d", "3", "--readout", "0.000", "--steps", "-1")
+    assert code == 2 and out == "" and "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measured-reach", "--d", "20", "--readout", "0." + "0" * 20, "--steps", "1000"),
+        ("grid-sim", "--resolution", str(cli.OUTPUT_BOUND), "--index", "1"),
+        ("grid-table", "--resolution", str(10**12)),
+        ("baker-orbit", "--x", "1/3", "--steps", str(cli.OUTPUT_BOUND)),
+        ("baker-approx", "--x", "1/3", "--steps", str(cli.OUTPUT_BOUND + 1), "--epsilon", "1/10"),
+    ],
+)
+def test_outputs_past_the_bound_are_usage_errors(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == "" and f"output bound of {cli.OUTPUT_BOUND}" in err
+    code, out, _ = run_cli("--format", "structured", *argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["status"] == "usage_error" and str(cli.OUTPUT_BOUND) in doc["message"]
+
+
+def test_output_bound_admits_exactly_its_count(monkeypatch):
+    # the full 1-digit run has 11 readouts; the 20-digit run after 3 steps has 8
+    monkeypatch.setattr(cli, "OUTPUT_BOUND", 11)
+    assert run_cli("measured-reach", "--d", "1", "--readout", "0.0", "--steps", "100")[0] == 0
+    assert run_cli("grid-table", "--resolution", "10")[0] == 0
+    assert run_cli("baker-orbit", "--x", "1/3", "--steps", "10")[0] == 0
+    assert run_cli("baker-approx", "--x", "1/3", "--steps", "11", "--epsilon", "1/10")[0] == 0
+    assert run_cli("measured-reach", "--d", "20", "--readout", "0." + "0" * 20, "--steps", "3")[0] == 0
+    monkeypatch.setattr(cli, "OUTPUT_BOUND", 10)
+    assert run_cli("measured-reach", "--d", "1", "--readout", "0.0", "--steps", "100")[0] == 1
+    assert run_cli("grid-sim", "--resolution", "10", "--index", "3")[0] == 1
+
+
+def test_baker_approx_prints_accuracies_past_the_int_text_limit():
+    # 1/(10 * 2^15000) has 4517 digits, past Python's default 4300 for str(int)
+    want = Fraction(1, 10 * 2**15000)
+    argv = ("baker-approx", "--x", "1/3", "--steps", "15000", "--epsilon", "1/10")
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == ""
+    plain = dict(line.split("=", 1) for line in out.splitlines())
+    code, out, _ = run_cli("--format", "structured", *argv)
+    assert code == 0
+    for text in (plain["input_accuracy"], json.loads(out)["payload"]["input_accuracy"]):
+        num, den = text.split("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == want
+    # argv parsing keeps the limit
+    assert run_cli("baker-approx", "--x", "1/3", "--steps", "1", "--epsilon", "1/1" + "0" * 5000)[0] == 1
 
 
 def test_check_command_passes():

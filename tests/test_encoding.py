@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactdyn.encoding import (
     Encoding,
@@ -61,3 +62,12 @@ def test_translate_examples():
     assert translate(12, Encoding.CANONICAL, Encoding.ALTERNATIVE) == 26
     with pytest.raises(NotACodeError):
         translate(3, Encoding.CANONICAL, Encoding.ALTERNATIVE)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+    st.sampled_from(Encoding),
+)
+def test_encode_decode_round_trips(q, encoding):
+    assert decode_rational(encode_rational(q, encoding), encoding) == q

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactdyn import murec
 from exactdyn.errors import ArityMismatchError, IllFormedError, ProgramParseError
@@ -225,6 +226,13 @@ def test_format_parse_round_trip():
     terms += [DIVERGENT, Mu(Comp(ADD, (Proj(2, 1), Proj(2, 2)))), Zero(0)]
     for term in terms:
         assert murec.parse_program(murec.format_program(term)) == term
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(0, 3))
+def test_random_terms_round_trip_through_program_text(rng, depth, n):
+    term = _random_term(rng, depth, n)
+    assert murec.parse_program(murec.format_program(term)) == term
 
 
 def test_deeply_nested_text_round_trips():

@@ -2,9 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactdyn.errors import DomainError, InvalidStateError
-from exactdyn.readout import Readout, Span, measure, parse_readout, reach, relation_table, successors
+from exactdyn.readout import (
+    Readout,
+    Span,
+    SuccessorSet,
+    measure,
+    parse_readout,
+    reach,
+    relation_table,
+    successors,
+)
 
 
 def test_readout_validation_and_text():
@@ -30,6 +40,18 @@ def test_parse_readout():
         parse_readout("x", 3)
     with pytest.raises(InvalidStateError):
         parse_readout("1.5", 3)
+
+
+@st.composite
+def _readouts(draw):
+    digits = draw(st.integers(1, 30))
+    return Readout(digits, draw(st.integers(0, 10**digits)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_readouts())
+def test_readout_text_round_trips(m):
+    assert parse_readout(m.text, m.digits) == m
 
 
 def test_measure_examples():
@@ -67,15 +89,40 @@ def test_relation_table_shape():
     # d <= 2 is in the check suite; d = 3 costs ten times as much
     rows = relation_table(3)
     assert [k for k, _ in rows] == list(range(1001))
-    for _, succ in rows:
-        assert succ.members == tuple(sorted(set(succ.members)))
-        assert len(succ.members) >= 1
+    assert all(len(succ) in (1, 2, 3) for _, succ in rows)
 
 
 def test_reach_examples():
     assert reach(Readout(3, 0), 0).members == (0,)
     assert reach(Readout(3, 0), 2).members == (0, 1, 2, 3)
     assert reach(Readout(3, 1000), 1).members == (0,)
+
+
+def test_successor_set_is_one_run():
+    run = SuccessorSet(3, 998, 1000)
+    assert run.members == (998, 999, 1000) and len(run) == 3
+    assert 999 in run and 997 not in run and 1001 not in run
+    assert run.texts() == ["0.998", "0.999", "1.000"]
+    for lo, hi in ((2, 1), (0, 1001), (-1, 3)):
+        with pytest.raises(InvalidStateError):
+            SuccessorSet(3, lo, hi)
+
+
+def test_reach_rejects_negative_step_counts():
+    with pytest.raises(InvalidStateError):
+        reach(Readout(3, 0), -1)
+
+
+def test_reach_settles_on_the_full_run():
+    # every start at d <= 2, the top cell and a seeded sample at d = 3; the
+    # top cell {1} steps to cell 0 first, so it needs every one of the steps
+    rng = random.Random(9)
+    for digits, starts in ((1, range(11)), (2, range(101)), (3, [1000, *rng.sample(range(1000), 60)])):
+        top = 10**digits
+        settle = top.bit_length() + 1
+        for k in starts:
+            assert reach(Readout(digits, k), settle) == SuccessorSet(digits, 0, top)
+        assert reach(Readout(digits, top), settle - 1) != SuccessorSet(digits, 0, top)
 
 
 def test_reach_recurrence():
