@@ -4,7 +4,9 @@ Every subcommand is a thin adapter over one library call; payload values
 are the library outputs rendered exactly.  Output is a line-oriented
 ``key=value`` document by default, with row records (orbits, tables)
 emitted one per line, tab-separated; ``--format structured`` switches to
-a single JSON document.  All numbers are exact rational text; pass
+a single JSON document.  All numbers are exact rational text, printed in
+full at any length: ``main`` lifts Python's int-text limit while it
+renders, and argv and program files are parsed under that limit.  Pass
 ``--decimals K`` for an extra truncated-decimal rendering of each
 rational.  Runs are deterministic for a fixed argv and ``--seed``.
 
@@ -15,6 +17,10 @@ before it could decide), 4 invalid code.  An output that would pass
 row is built: ``measured-reach`` checks its run's length, ``grid-sim``
 and ``grid-table`` resolution + 1, ``baker-orbit`` steps + 1, and
 ``baker-approx``, whose exact accuracy grows by a bit a step, its steps.
+``--decimals`` past ``DECIMALS_BOUND`` digits is a usage error too, also
+refused before any work.  So an argv asks for at most ``OUTPUT_BOUND``
+rows, with at most ``DECIMALS_BOUND`` digits after the point in each
+decimal cell.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import baker, dissipative, grid, murec, readout, realfn
 from .encoding import Encoding, decode_rational, encode_rational, translate
@@ -45,6 +51,7 @@ STATUS_DIVERGED = "diverged"
 STATUS_NOT_A_CODE = "not_a_code"
 
 OUTPUT_BOUND = 10**6 + 1  # every reach run at d <= 6 still prints
+DECIMALS_BOUND = 4300  # Python's default int-text limit, which argv numbers obey
 
 EXIT_CODES = {
     STATUS_OK: 0,
@@ -134,60 +141,74 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("encode", help="number a rational")
+    p.set_defaults(handler=_cmd_encode)
     p.add_argument("--rational", required=True, type=_fraction_arg)
     p.add_argument("--encoding", type=_encoding_arg, default=Encoding.CANONICAL)
 
     p = sub.add_parser("decode", help="recover the rational behind a code")
+    p.set_defaults(handler=_cmd_decode)
     p.add_argument("--code", required=True, type=int)
     p.add_argument("--encoding", type=_encoding_arg, default=Encoding.CANONICAL)
 
     p = sub.add_parser("translate", help="convert a code between numberings")
+    p.set_defaults(handler=_cmd_translate)
     p.add_argument("--code", required=True, type=int)
     p.add_argument("--from", required=True, type=_encoding_arg, dest="source")
     p.add_argument("--to", required=True, type=_encoding_arg, dest="target")
 
     p = sub.add_parser("murec-eval", help="run a recursive-function program")
+    p.set_defaults(handler=_cmd_murec_eval)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--program", help="path to a program file")
     src.add_argument("--builtin", choices=murec.BUILTIN_PROGRAMS)
     p.add_argument("args", nargs="*", type=int, help="natural-number arguments")
 
     p = sub.add_parser("baker-step", help="one exact step of the folded doubling map")
+    p.set_defaults(handler=_cmd_baker_step)
     p.add_argument("--x", required=True, type=_fraction_arg)
 
     p = sub.add_parser("baker-orbit", help="exact orbit rows (k, position)")
+    p.set_defaults(handler=_cmd_baker_orbit)
     p.add_argument("--x", required=True, type=_fraction_arg)
     p.add_argument("--steps", required=True, type=int)
 
     p = sub.add_parser("baker-approx", help="n-step value via the accuracy rule")
+    p.set_defaults(handler=_cmd_baker_approx)
     p.add_argument("--x", required=True, type=_fraction_arg)
     p.add_argument("--steps", required=True, type=int)
     p.add_argument("--epsilon", required=True, type=_fraction_arg)
 
     p = sub.add_parser("sensitivity", help="build a sensitivity witness")
+    p.set_defaults(handler=_cmd_sensitivity)
     p.add_argument("--eta", required=True, type=_fraction_arg)
     p.add_argument("--a", required=True, type=_fraction_arg)
     p.add_argument("--ap", required=True, type=_fraction_arg)
 
     p = sub.add_parser("grid-sim", help="finite-grid orbit with cycle detection")
+    p.set_defaults(handler=_cmd_grid_sim)
     p.add_argument("--resolution", required=True, type=int)
     p.add_argument("--index", required=True, type=int)
 
     p = sub.add_parser("grid-table", help="complete finite-grid transition table")
+    p.set_defaults(handler=_cmd_grid_table)
     p.add_argument("--resolution", required=True, type=int)
 
     p = sub.add_parser("measured-succ", help="readouts that may follow a readout")
+    p.set_defaults(handler=_cmd_measured_succ)
     p.add_argument("--d", required=True, type=int, help="device digits")
     p.add_argument("--readout", required=True)
 
     p = sub.add_parser("measured-reach", help="readouts reachable in n steps")
+    p.set_defaults(handler=_cmd_measured_reach)
     p.add_argument("--d", required=True, type=int)
     p.add_argument("--readout", required=True)
     p.add_argument("--steps", required=True, type=int)
 
-    sub.add_parser("limit-demo", help="discontinuity witnesses and decay table")
+    p = sub.add_parser("limit-demo", help="discontinuity witnesses and decay table")
+    p.set_defaults(handler=_cmd_limit_demo)
 
-    sub.add_parser("check", help="run every module's property suite")
+    p = sub.add_parser("check", help="run every module's property suite")
+    p.set_defaults(handler=_cmd_check)
 
     return parser
 
@@ -320,24 +341,6 @@ def _cmd_check(ns: argparse.Namespace, res: CommandResult) -> None:
         res.status = STATUS_DIVERGED
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace, CommandResult], None]] = {
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "translate": _cmd_translate,
-    "murec-eval": _cmd_murec_eval,
-    "baker-step": _cmd_baker_step,
-    "baker-orbit": _cmd_baker_orbit,
-    "baker-approx": _cmd_baker_approx,
-    "sensitivity": _cmd_sensitivity,
-    "grid-sim": _cmd_grid_sim,
-    "grid-table": _cmd_grid_table,
-    "measured-succ": _cmd_measured_succ,
-    "measured-reach": _cmd_measured_reach,
-    "limit-demo": _cmd_limit_demo,
-    "check": _cmd_check,
-}
-
-
 def run(argv: Sequence[str]) -> CommandResult:
     """Dispatch argv to a subcommand and return its result (never raises)."""
     parser = build_parser()
@@ -353,12 +356,15 @@ def run(argv: Sequence[str]) -> CommandResult:
 
     if ns.command is None:
         return failed(STATUS_USAGE, "a subcommand is required (see --help)")
+    if ns.decimals is not None and ns.decimals > DECIMALS_BOUND:
+        message = f"--decimals {ns.decimals} exceeds the bound of {DECIMALS_BOUND} digits"
+        return failed(STATUS_USAGE, message)
     try:
-        _HANDLERS[ns.command](ns, result)
+        ns.handler(ns, result)
         return result
-    except _UsageError as exc:
-        return failed(STATUS_USAGE, str(exc))
-    except (ProgramParseError, IllFormedError, ArityMismatchError, OSError, ValueError) as exc:
+    except (
+        _UsageError, ProgramParseError, IllFormedError, ArityMismatchError, OSError, ValueError
+    ) as exc:
         return failed(STATUS_USAGE, str(exc))
     except RecursionError:
         return failed(STATUS_USAGE, "program term is nested too deeply")
@@ -381,20 +387,22 @@ def _payload_items(result: CommandResult) -> Iterator[tuple[str, object]]:
     """Payload pairs, each Fraction as its text and then, with decimals on, ``key_dec``."""
     for key, value in result.payload.items():
         if isinstance(value, Fraction):
-            yield key, format_rational(value)
-            if result.decimals is not None:
-                yield f"{key}_dec", truncate_decimal(value, result.decimals)
+            yield from zip((key, f"{key}_dec"), _render_cell(value, result.decimals))
         else:
             yield key, value
 
 
-def render_plain(result: CommandResult) -> str:
-    lines = [f"{key}={value}" for key, value in _payload_items(result)]
+def _row_cells(result: CommandResult) -> Iterator[list[str]]:
     for row in result.rows:
         cells: list[str] = []
         for value in row:
             cells.extend(_render_cell(value, result.decimals))
-        lines.append("\t".join(cells))
+        yield cells
+
+
+def render_plain(result: CommandResult) -> str:
+    lines = [f"{key}={value}" for key, value in _payload_items(result)]
+    lines += ["\t".join(cells) for cells in _row_cells(result)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -404,21 +412,23 @@ def render_structured(result: CommandResult) -> str:
         doc["message"] = result.message
     doc["payload"] = dict(_payload_items(result))
     if result.rows:
-        doc["rows"] = [
-            [cell for value in row for cell in _render_cell(value, result.decimals)]
-            for row in result.rows
-        ]
+        doc["rows"] = list(_row_cells(result))
     return json.dumps(doc, indent=2) + "\n"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
-    if result.fmt == "structured":
-        sys.stdout.write(render_structured(result))
-    else:
-        if result.message:
-            sys.stderr.write(f"error: {result.message}\n")
-        sys.stdout.write(render_plain(result))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact answers print in full; argv parsing kept the limit
+    try:
+        if result.fmt == "structured":
+            sys.stdout.write(render_structured(result))
+        else:
+            if result.message:
+                sys.stderr.write(f"error: {result.message}\n")
+            sys.stdout.write(render_plain(result))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return result.exit_code
 
 

@@ -3,13 +3,16 @@
 Every quantity in this package is a ``fractions.Fraction``: unbounded,
 always in canonical reduced form, with exact comparison.  The text format
 is an optional leading ``-``, then ``num/den`` in decimal with ``/den``
-omitted when the denominator is 1 (``-1/3``, ``0``, ``7``).
+omitted when the denominator is 1 (``-1/3``, ``0``, ``7``).  It is plain
+``str`` formatting, so like ``str()`` it stops at Python's int-text limit
+(``sys.get_int_max_str_digits()``); the CLI lifts that limit while it
+renders.  ``fixed_point`` writes the one d-place decimal format, shared by
+``truncate_decimal`` and the measured readouts.
 """
 
 from __future__ import annotations
 
 import re
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -33,18 +36,10 @@ def parse_rational(text: str) -> Fraction:
     return -value if sign else value
 
 
-def _digits(n: int) -> str:
-    """n in decimal at any size: str() stops at sys.get_int_max_str_digits()."""
-    try:
-        return str(n)
-    except ValueError:
-        return str(Decimal(n))
-
-
 def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
-        return _digits(q.numerator)
-    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
 
 
 def require_unit_interval(q: Fraction, what: str = "value") -> Fraction:
@@ -57,9 +52,13 @@ def truncate_decimal(q: Fraction, digits: int) -> str:
     """Decimal string of q truncated toward zero to `digits` places."""
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    scale = 10**digits
-    units = abs(q.numerator) * scale // q.denominator
-    sign = "-" if q < 0 else ""
+    units = abs(q.numerator) * 10**digits // q.denominator
+    return ("-" if q < 0 else "") + fixed_point(units, digits)
+
+
+def fixed_point(units: int, digits: int) -> str:
+    """units / 10^digits, for units >= 0, with exactly `digits` places (no point at 0)."""
     if digits == 0:
-        return f"{sign}{units}"
-    return f"{sign}{units // scale}.{units % scale:0{digits}d}"
+        return str(units)
+    text = str(units).zfill(digits + 1)
+    return f"{text[:-digits]}.{text[-digits:]}"

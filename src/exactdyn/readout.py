@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import InvalidStateError
-from .rational import HALF, ONE, ZERO, require_unit_interval
+from .rational import HALF, ONE, ZERO, fixed_point, require_unit_interval
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ class Readout:
 
     @property
     def text(self) -> str:
-        scale = 10**self.digits
-        return f"{self.index // scale}.{self.index % scale:0{self.digits}d}"
+        return fixed_point(self.index, self.digits)
 
     def cell(self) -> Span:
         """The set of positions this readout stands for."""
@@ -148,7 +147,7 @@ class SuccessorSet:
         return tuple(range(self.lo, self.hi + 1))
 
     def texts(self) -> list[str]:
-        return [Readout(self.digits, k).text for k in range(self.lo, self.hi + 1)]
+        return [fixed_point(k, self.digits) for k in range(self.lo, self.hi + 1)]
 
     def __contains__(self, index: int) -> bool:
         return self.lo <= index <= self.hi

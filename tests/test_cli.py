@@ -250,6 +250,51 @@ def test_baker_approx_prints_accuracies_past_the_int_text_limit():
     assert run_cli("baker-approx", "--x", "1/3", "--steps", "1", "--epsilon", "1/1" + "0" * 5000)[0] == 1
 
 
+def test_long_integers_print_in_full():
+    # a 4400-digit code, past Python's default 4300 for str(int)
+    want = encode_rational(Fraction(10**1100))
+    argv = ("encode", "--rational", "1" + "0" * 1100)
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == "" and out.startswith("code=") and out.endswith("\n")
+    assert int(Decimal(out[len("code="):-1])) == want
+    code, out, _ = run_cli("--format", "structured", *argv)
+    assert code == 0 and json.loads(out, parse_int=lambda text: int(Decimal(text)))["payload"]["code"] == want
+
+
+def test_decimals_up_to_the_bound_print_in_full():
+    bound = cli.DECIMALS_BOUND
+    digits = "0." + "6" * bound
+    code, out, err = run_cli("--decimals", str(bound), "baker-step", "--x", "1/3")
+    assert code == 0 and err == "" and out == f"value=2/3\nvalue_dec={digits}\n"
+    code, out, _ = run_cli("--format", "structured", "--decimals", str(bound), "baker-step", "--x", "1/3")
+    assert code == 0 and json.loads(out)["payload"] == {"value": "2/3", "value_dec": digits}
+
+
+def test_decimals_past_the_bound_are_usage_errors():
+    argv = ("--decimals", str(cli.DECIMALS_BOUND + 1), "baker-step", "--x", "1/3")
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == "" and f"bound of {cli.DECIMALS_BOUND} digits" in err
+    code, out, _ = run_cli("--format", "structured", *argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["status"] == "usage_error" and str(cli.DECIMALS_BOUND) in doc["message"]
+
+
+def test_main_restores_the_int_text_limit(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    assert run_cli("encode", "--rational", "1" + "0" * 1100)[0] == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert run_cli("encode")[0] == 1
+    assert sys.get_int_max_str_digits() == limit
+
+    def broken(result):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(cli, "render_plain", broken)
+    with pytest.raises(RuntimeError):
+        run_cli("baker-step", "--x", "1/3")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_check_command_passes():
     # the check suites are the unit-level property tests: name what failed
     code, out, _ = run_cli("check")

@@ -125,14 +125,21 @@ def test_reach_settles_on_the_full_run():
         assert reach(Readout(digits, top), settle - 1) != SuccessorSet(digits, 0, top)
 
 
+def _readout_texts(run: SuccessorSet) -> list[str]:
+    return [Readout(run.digits, k).text for k in run.members]
+
+
 def test_reach_recurrence():
     for digits in (1, 2):
         table = dict(relation_table(digits))
         for k in range(10**digits + 1):
             m = Readout(digits, k)
+            assert table[k].texts() == _readout_texts(table[k])
             expected = {k}
             for n in range(13):
-                assert set(reach(m, n).members) == expected
+                run = reach(m, n)
+                assert set(run.members) == expected
+                assert run.texts() == _readout_texts(run)
                 expected = set().union(*(table[j].members for j in expected))
 
 
