@@ -3,11 +3,13 @@
 Each suite verifies its module's contract at interactive scale: round
 trips, oracle agreement, Lipschitz bounds, witness validity.  All
 sampling is driven by one seed, so a run is reproducible bit for bit.
-This module is the one place each property is written.  The pytest suite
-runs every check through ``exactdyn check``; its own tests are worked
-examples, input validation, differential tests against reference
-oracles and the few samples too slow for an interactive run.  Its
-acceptance gate re-runs the central properties on larger samples.
+Each kind of test has one home.  Properties, claims over a range or a
+sample, live here and only here; ``tests/test_cli.py`` runs them all.
+Worked examples, input validation, differential tests against reference
+oracles and samples too slow for an interactive run live in the module
+tests (``tests/test_<module>.py``); the acceptance gate re-runs the
+central properties on larger samples.  So no check here pins a single
+value or restates the formula of the function it names.
 """
 
 from __future__ import annotations
@@ -393,25 +395,11 @@ def baker_checks(seed: int, fuel: int) -> list[CheckResult]:
                 return f"eta=10^-{j}: starts are farther apart than eta"
         return None
 
-    def worked_examples() -> str | None:
-        cases = [
-            (baker.step(Fraction(1, 2)), Fraction(1)),
-            (baker.step(Fraction(3, 4)), Fraction(1, 2)),
-            (baker.step(Fraction(2, 3)), Fraction(2, 3)),
-            (baker.iterate(Fraction(1, 48), 4), Fraction(1, 3)),
-            (baker.iterate(Fraction(1, 16), 4), Fraction(1)),
-        ]
-        for got, want in cases:
-            if got != want:
-                return f"got {format_rational(got)}, wanted {format_rational(want)}"
-        return None
-
     return [
         _check("baker: [0,1] maps into [0,1]", range_preserved),
         _check("baker: 2-Lipschitz step, 2^n-Lipschitz iterate", lipschitz),
         _check("baker: 100 sensitivity witnesses are exact", witnesses),
         _check("baker: tiny eta still yields full separation", maximal_spread),
-        _check("baker: worked step and iterate values", worked_examples),
     ]
 
 
@@ -428,14 +416,6 @@ def grid_checks(seed: int, fuel: int) -> list[CheckResult]:
                 s = grid.GridState(n_res, i)
                 if grid.step(s).position != baker.step(s.position):
                     return f"grid step at {i}/{n_res} disagrees with the exact map"
-        return None
-
-    def collapse() -> str | None:
-        # distinct grid points are at least 1/N apart and adjacent ones exactly
-        # 1/N, so closeness within eta is equality exactly when 0 <= eta < 1/N
-        for n_res in range(1, 1001):
-            if not 0 <= grid.min_separation(n_res) < Fraction(1, n_res):
-                return f"N={n_res}: closeness below 1/(2N) is not equality"
         return None
 
     def table_matches_iteration() -> str | None:
@@ -467,7 +447,6 @@ def grid_checks(seed: int, fuel: int) -> list[CheckResult]:
 
     return [
         _check("grid: doubling and reflecting preserve every grid", exactness),
-        _check("grid: sensitivity collapses below half the spacing", collapse),
         _check("grid: transition-table lookups equal iteration", table_matches_iteration),
         _check("grid: every orbit cycles within N+2 steps", eventual_periodicity),
     ]
@@ -478,29 +457,6 @@ def grid_checks(seed: int, fuel: int) -> list[CheckResult]:
 
 def readout_checks(seed: int, fuel: int) -> list[CheckResult]:
     rng = random.Random(seed)
-
-    def device_instance() -> str | None:
-        got = readout.successors(readout.Readout(3, 0))
-        if got.members != (0, 1):
-            return f"first cell of the 3-digit device reaches {got.texts()}"
-        return None
-
-    def worked_examples() -> str | None:
-        cases = [
-            (readout.successors(readout.Readout(3, 999)).members, (0, 1, 2)),
-            (readout.successors(readout.Readout(3, 500)).members, (998, 999, 1000)),
-            (readout.successors(readout.Readout(1, 0)).members, (0, 1)),
-            (readout.successors(readout.Readout(1, 10)).members, (0,)),
-            (readout.reach(readout.Readout(3, 0), 2).members, (0, 1, 2, 3)),
-            (readout.reach(readout.Readout(3, 1000), 1).members, (0,)),
-            (readout.measure(Fraction(49, 100000), 3).index, 0),
-            (readout.measure(Fraction(1), 3).index, 1000),
-            (readout.measure(Fraction(1, 2), 3).index, 500),
-        ]
-        for got, want in cases:
-            if got != want:
-                return f"got {got}, wanted {want}"
-        return None
 
     def soundness() -> str | None:
         for digits in (1, 2):
@@ -550,32 +506,10 @@ def readout_checks(seed: int, fuel: int) -> list[CheckResult]:
                         return f"d={digits}: reach recurrence failed at start {k}, n={n}"
         return None
 
-    def collapse() -> str | None:
-        # ascending values 2*eta apart: distinct readouts differ by more than eta
-        for digits in (1, 2, 3):
-            eta = readout.separation_eta(digits)
-            values = [readout.Readout(digits, k).value for k in range(10**digits + 1)]
-            if eta <= 0 or any(v - u != 2 * eta for u, v in zip(values, values[1:])):
-                return f"d={digits}: readouts within eta are not equal"
-        return None
-
-    def table_shape() -> str | None:
-        for digits in (1, 2):
-            rows = readout.relation_table(digits)
-            if len(rows) != 10**digits + 1:
-                return f"d={digits}: table has {len(rows)} rows"
-            if [k for k, _ in rows] != list(range(10**digits + 1)):
-                return f"d={digits}: table is not sorted"
-        return None
-
     return [
-        _check("readout: first 3-digit cell is followed by exactly two readouts", device_instance),
-        _check("readout: worked successor, reach, and measure values", worked_examples),
         _check("readout: sampled images land in claimed successors", soundness),
         _check("readout: every claimed successor has a certifying witness", witness_completeness),
         _check("readout: n-step reach satisfies its recurrence", reach_recurrence),
-        _check("readout: readouts within eta collapse to equality", collapse),
-        _check("readout: relation table is complete and ordered", table_shape),
     ]
 
 
@@ -608,15 +542,6 @@ def dissipative_checks(seed: int, fuel: int) -> list[CheckResult]:
                 return f"eta=10^-{j}: witness pair too far apart"
         return None
 
-    def threshold_date() -> str | None:
-        value = Fraction(9, 10)
-        for n in range(8):
-            below = value < Fraction(1, 1000)
-            if below != (n >= 7):
-                return f"(9/10)^(2^{n}) is on the wrong side of 1/1000"
-            value = value * value
-        return None
-
     def finite_date_rules() -> str | None:
         for n in range(7):
             report = realfn.check_modulus(
@@ -626,25 +551,10 @@ def dissipative_checks(seed: int, fuel: int) -> list[CheckResult]:
                 return f"date {n}: {report.failures[0]}"
         return None
 
-    def exact_small_cases() -> str | None:
-        cases = [
-            (dissipative.iterate_approx(Fraction(9, 10), 1, Fraction(1, 10**9)), Fraction(81, 100)),
-            (dissipative.iterate_approx(Fraction(0), 9, Fraction(1, 10)), Fraction(0)),
-            (dissipative.iterate_approx(Fraction(1), 9, Fraction(1, 10)), Fraction(1)),
-        ]
-        for got, want in cases:
-            if got != want:
-                return f"got {format_rational(got)}, wanted {format_rational(want)}"
-        if dissipative.limit_state(Fraction(9, 10)) != 0 or dissipative.limit_state(Fraction(1)) != 1:
-            return "limit map has the wrong values"
-        return None
-
     return [
         _check("dissipative: iterates respect the decay bound", convergence_bound),
         _check("dissipative: discontinuity witnesses all achieve gap 1", witness_family),
-        _check("dissipative: decay first beats 1/1000 at date 7", threshold_date),
         _check("dissipative: finite-date accuracy rules certified", finite_date_rules),
-        _check("dissipative: exact values while sizes stay small", exact_small_cases),
     ]
 
 

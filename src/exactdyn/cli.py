@@ -18,9 +18,10 @@ row is built: ``measured-reach`` checks its run's length, ``grid-sim``
 and ``grid-table`` resolution + 1, ``baker-orbit`` steps + 1, and
 ``baker-approx``, whose exact accuracy grows by a bit a step, its steps.
 ``--decimals`` past ``DECIMALS_BOUND`` digits is a usage error too, also
-refused before any work.  So an argv asks for at most ``OUTPUT_BOUND``
-rows, with at most ``DECIMALS_BOUND`` digits after the point in each
-decimal cell.
+refused before any work, and so is a ``--d`` past ``DIGITS_BOUND``,
+refused before the readout is parsed.  So an argv asks for at most
+``OUTPUT_BOUND`` rows, with at most ``DECIMALS_BOUND`` digits after the
+point in each decimal cell.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ STATUS_NOT_A_CODE = "not_a_code"
 
 OUTPUT_BOUND = 10**6 + 1  # every reach run at d <= 6 still prints
 DECIMALS_BOUND = 4300  # Python's default int-text limit, which argv numbers obey
+DIGITS_BOUND = DECIMALS_BOUND - 1  # the largest d whose d + 1 readout digits parse
 
 EXIT_CODES = {
     STATUS_OK: 0,
@@ -289,18 +291,24 @@ def _cmd_grid_table(ns: argparse.Namespace, res: CommandResult) -> None:
     res.rows = grid.table(ns.resolution)
 
 
+def _parse_readout(ns: argparse.Namespace) -> readout.Readout:
+    if ns.d > DIGITS_BOUND:
+        raise _UsageError(f"--d {ns.d} exceeds the bound of {DIGITS_BOUND} digits")
+    return readout.parse_readout(ns.readout, ns.d)
+
+
 def _cmd_measured_succ(ns: argparse.Namespace, res: CommandResult) -> None:
-    m = readout.parse_readout(ns.readout, ns.d)
+    m = _parse_readout(ns)
     res.payload["readout"] = m.text
     res.payload["successors"] = ",".join(readout.successors(m).texts())
 
 
 def _cmd_measured_reach(ns: argparse.Namespace, res: CommandResult) -> None:
-    m = readout.parse_readout(ns.readout, ns.d)
+    m = _parse_readout(ns)
     res.payload["readout"] = m.text
     res.payload["steps"] = ns.steps
     run = readout.reach(m, ns.steps)
-    _require_output_bound(run.hi - run.lo + 1, "readouts")  # len() stops at sys.maxsize
+    _require_output_bound(run.count, "readouts")
     res.payload["reachable"] = ",".join(run.texts())
 
 

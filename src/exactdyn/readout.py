@@ -146,6 +146,11 @@ class SuccessorSet:
     def members(self) -> tuple[int, ...]:
         return tuple(range(self.lo, self.hi + 1))
 
+    @property
+    def count(self) -> int:
+        """The number of readouts in the run, at any size."""
+        return self.hi - self.lo + 1
+
     def texts(self) -> list[str]:
         return [fixed_point(k, self.digits) for k in range(self.lo, self.hi + 1)]
 
@@ -153,7 +158,8 @@ class SuccessorSet:
         return self.lo <= index <= self.hi
 
     def __len__(self) -> int:
-        return self.hi - self.lo + 1
+        """``count``; ``len()`` raises ``OverflowError`` past ``sys.maxsize``."""
+        return self.count
 
 
 def _branch_images(span: Span) -> list[tuple[Span, bool]]:
@@ -258,10 +264,3 @@ def reach(m: Readout, n: int) -> SuccessorSet:
             break
         lo, hi = image
     return SuccessorSet(m.digits, lo, hi)
-
-
-def separation_eta(digits: int) -> Fraction:
-    """Half the minimal distance between distinct readout values."""
-    if digits < 1:
-        raise InvalidStateError(f"digits {digits} must be >= 1")
-    return Fraction(1, 2 * 10**digits)

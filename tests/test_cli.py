@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from exactdyn import baker, cli, grid, readout
+from exactdyn import baker, checks, cli, grid, readout
 from exactdyn.encoding import Encoding, encode_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -279,6 +279,22 @@ def test_decimals_past_the_bound_are_usage_errors():
     assert code == 1 and doc["status"] == "usage_error" and str(cli.DECIMALS_BOUND) in doc["message"]
 
 
+def test_digits_up_to_the_bound_parse_and_past_it_are_usage_errors():
+    bound = cli.DIGITS_BOUND
+    at_bound = ("measured-succ", "--d", str(bound), "--readout", "0." + "0" * bound)
+    code, out, err = run_cli(*at_bound)
+    assert code == 0 and err == "" and out.startswith(f"readout={at_bound[-1]}\n")
+    code, out, _ = run_cli("--format", "structured", *at_bound)
+    assert code == 0 and json.loads(out)["payload"]["readout"] == at_bound[-1]
+    for command in (("measured-succ",), ("measured-reach", "--steps", "3")):
+        argv = (command[0], "--d", str(bound + 1), "--readout", "0." + "0" * (bound + 1), *command[1:])
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == "" and err == f"error: --d {bound + 1} exceeds the bound of {bound} digits\n"
+        code, out, _ = run_cli("--format", "structured", *argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "usage_error" and f"bound of {bound} digits" in doc["message"]
+
+
 def test_main_restores_the_int_text_limit(monkeypatch):
     limit = sys.get_int_max_str_digits()
     assert run_cli("encode", "--rational", "1" + "0" * 1100)[0] == 0
@@ -300,6 +316,12 @@ def test_check_command_passes():
     code, out, _ = run_cli("check")
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 0 and "failed=0" in out and not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_check_suites_pass_at_other_seeds(seed):
+    failures = [f"{r.name}: {r.detail}" for r in checks.run_all(seed) if not r.passed]
+    assert not failures, "\n".join(failures)
 
 
 def test_check_with_too_little_fuel_reports_no_failure():

@@ -22,6 +22,7 @@ def test_readout_validation_and_text():
     assert Readout(3, 1000).text == "1.000"
     assert Readout(3, 500).text == "0.500"
     assert Readout(1, 7).text == "0.7"
+    assert Readout(3, 7).value == Fraction(7, 1000)
     with pytest.raises(InvalidStateError):
         Readout(0, 0)
     with pytest.raises(InvalidStateError):
@@ -85,11 +86,37 @@ def test_successor_examples():
     assert successors(Readout(1, 10)).members == (0,)
 
 
+def _successors_by_table(digits: int, k: int) -> tuple[int, int]:
+    # the closed form of a successor run, cell k of D = 10^d: the cell
+    # [k/D, (k+1)/D) doubles left of 1/2 and folds back right of it
+    top = 10**digits
+    if k == top:
+        return 0, 0
+    if 2 * k + 2 <= top:
+        return 2 * k, 2 * k + 1
+    if 2 * k == top:
+        return top - 2, top
+    return 2 * top - 2 * k - 2, 2 * top - 2 * k
+
+
+def test_successors_match_the_closed_form():
+    rng = random.Random(4)
+    for digits in (1, 2, 3, 4, 5, 6):
+        top = 10**digits
+        if digits <= 3:
+            cells = range(top + 1)
+        else:  # the cells where a row of the table starts or ends, and a sample
+            cells = [top // 2 - 1, top // 2, top // 2 + 1, top, *rng.sample(range(top), 200)]
+        for k in cells:
+            run = successors(Readout(digits, k))
+            assert (run.lo, run.hi) == _successors_by_table(digits, k), (digits, k)
+
+
 def test_relation_table_shape():
-    # d <= 2 is in the check suite; d = 3 costs ten times as much
-    rows = relation_table(3)
-    assert [k for k, _ in rows] == list(range(1001))
-    assert all(len(succ) in (1, 2, 3) for _, succ in rows)
+    for digits in (1, 2, 3):
+        rows = relation_table(digits)
+        assert [k for k, _ in rows] == list(range(10**digits + 1))
+        assert all(len(succ) in (1, 2, 3) for _, succ in rows)
 
 
 def test_reach_examples():
@@ -100,7 +127,10 @@ def test_reach_examples():
 
 def test_successor_set_is_one_run():
     run = SuccessorSet(3, 998, 1000)
-    assert run.members == (998, 999, 1000) and len(run) == 3
+    assert run.members == (998, 999, 1000) and len(run) == run.count == 3
+    assert SuccessorSet(20, 0, 10**20).count == 10**20 + 1
+    with pytest.raises(OverflowError):
+        len(SuccessorSet(20, 0, 10**20))
     assert 999 in run and 997 not in run and 1001 not in run
     assert run.texts() == ["0.998", "0.999", "1.000"]
     for lo, hi in ((2, 1), (0, 1001), (-1, 3)):
