@@ -27,13 +27,11 @@ point in each decimal cell.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from . import baker, dissipative, grid, murec, readout, realfn
+from . import BUILTIN_PROGRAMS
 from .encoding import Encoding, decode_rational, encode_rational, translate
 from .errors import (
     ArityMismatchError,
@@ -64,14 +62,24 @@ EXIT_CODES = {
 }
 
 
-@dataclass
 class CommandResult:
-    status: str
-    payload: dict = field(default_factory=dict)
-    rows: list[tuple] = field(default_factory=list)
-    message: str = ""
-    fmt: str = "plain"
-    decimals: Optional[int] = None
+    """What a subcommand produced: a status, payload pairs, row records and a message."""
+
+    def __init__(
+        self,
+        status: str,
+        payload: Optional[dict] = None,
+        rows: Optional[list[tuple]] = None,
+        message: str = "",
+        fmt: str = "plain",
+        decimals: Optional[int] = None,
+    ) -> None:
+        self.status = status
+        self.payload = {} if payload is None else payload
+        self.rows = [] if rows is None else rows
+        self.message = message
+        self.fmt = fmt
+        self.decimals = decimals
 
     @property
     def exit_code(self) -> int:
@@ -108,11 +116,19 @@ def _require_output_bound(count: int, what: str) -> None:
         raise _UsageError(f"{count} {what} exceed the output bound of {OUTPUT_BOUND}")
 
 
+def _int_arg(text: str) -> int:
+    """An argv integer: an optional ``-`` and ASCII digits, read under the int-text limit."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the int-text limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
@@ -128,9 +144,14 @@ def build_parser() -> _Parser:
             "and measured form."
         ),
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
+    parser.add_argument("--seed", type=_int_arg, default=0, help="seed for all sampling (default 0)")
     parser.add_argument(
-        "--fuel", type=_nonneg_int, default=10**6, help="evaluation step budget (default 10^6)"
+        "--fuel", type=_nonneg_int, default=10**6,
+        help=(
+            "evaluation step budget (default 10^6; evaluation spends roughly 5*10^6 to "
+            "10^7 a second, so 10^6 stops within about 0.2 s and 10^12 would run for "
+            "more than a day)"
+        ),
     )
     parser.add_argument(
         "--format", choices=("plain", "structured"), default="plain", dest="fmt",
@@ -149,12 +170,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("decode", help="recover the rational behind a code")
     p.set_defaults(handler=_cmd_decode)
-    p.add_argument("--code", required=True, type=int)
+    p.add_argument("--code", required=True, type=_int_arg)
     p.add_argument("--encoding", type=_encoding_arg, default=Encoding.CANONICAL)
 
     p = sub.add_parser("translate", help="convert a code between numberings")
     p.set_defaults(handler=_cmd_translate)
-    p.add_argument("--code", required=True, type=int)
+    p.add_argument("--code", required=True, type=_int_arg)
     p.add_argument("--from", required=True, type=_encoding_arg, dest="source")
     p.add_argument("--to", required=True, type=_encoding_arg, dest="target")
 
@@ -162,8 +183,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_murec_eval)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--program", help="path to a program file")
-    src.add_argument("--builtin", choices=murec.BUILTIN_PROGRAMS)
-    p.add_argument("args", nargs="*", type=int, help="natural-number arguments")
+    src.add_argument("--builtin", choices=BUILTIN_PROGRAMS)
+    p.add_argument("args", nargs="*", type=_int_arg, help="natural-number arguments")
 
     p = sub.add_parser("baker-step", help="one exact step of the folded doubling map")
     p.set_defaults(handler=_cmd_baker_step)
@@ -172,12 +193,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("baker-orbit", help="exact orbit rows (k, position)")
     p.set_defaults(handler=_cmd_baker_orbit)
     p.add_argument("--x", required=True, type=_fraction_arg)
-    p.add_argument("--steps", required=True, type=int)
+    p.add_argument("--steps", required=True, type=_int_arg)
 
     p = sub.add_parser("baker-approx", help="n-step value via the accuracy rule")
     p.set_defaults(handler=_cmd_baker_approx)
     p.add_argument("--x", required=True, type=_fraction_arg)
-    p.add_argument("--steps", required=True, type=int)
+    p.add_argument("--steps", required=True, type=_int_arg)
     p.add_argument("--epsilon", required=True, type=_fraction_arg)
 
     p = sub.add_parser("sensitivity", help="build a sensitivity witness")
@@ -188,23 +209,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grid-sim", help="finite-grid orbit with cycle detection")
     p.set_defaults(handler=_cmd_grid_sim)
-    p.add_argument("--resolution", required=True, type=int)
-    p.add_argument("--index", required=True, type=int)
+    p.add_argument("--resolution", required=True, type=_int_arg)
+    p.add_argument("--index", required=True, type=_int_arg)
 
     p = sub.add_parser("grid-table", help="complete finite-grid transition table")
     p.set_defaults(handler=_cmd_grid_table)
-    p.add_argument("--resolution", required=True, type=int)
+    p.add_argument("--resolution", required=True, type=_int_arg)
 
     p = sub.add_parser("measured-succ", help="readouts that may follow a readout")
     p.set_defaults(handler=_cmd_measured_succ)
-    p.add_argument("--d", required=True, type=int, help="device digits")
+    p.add_argument("--d", required=True, type=_int_arg, help="device digits")
     p.add_argument("--readout", required=True)
 
     p = sub.add_parser("measured-reach", help="readouts reachable in n steps")
     p.set_defaults(handler=_cmd_measured_reach)
-    p.add_argument("--d", required=True, type=int)
+    p.add_argument("--d", required=True, type=_int_arg)
     p.add_argument("--readout", required=True)
-    p.add_argument("--steps", required=True, type=int)
+    p.add_argument("--steps", required=True, type=_int_arg)
 
     p = sub.add_parser("limit-demo", help="discontinuity witnesses and decay table")
     p.set_defaults(handler=_cmd_limit_demo)
@@ -228,6 +249,8 @@ def _cmd_translate(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_murec_eval(ns: argparse.Namespace, res: CommandResult) -> None:
+    from . import murec
+
     if ns.program is not None:
         term = murec.load_program(ns.program)
         res.payload["program"] = ns.program
@@ -245,10 +268,14 @@ def _cmd_murec_eval(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_baker_step(ns: argparse.Namespace, res: CommandResult) -> None:
+    from . import baker
+
     res.payload["value"] = baker.step(ns.x)
 
 
 def _cmd_baker_orbit(ns: argparse.Namespace, res: CommandResult) -> None:
+    from . import baker
+
     if res.decimals is None:
         res.decimals = 6  # orbit rows always carry a decimal column
     _require_output_bound(ns.steps + 1, "orbit rows")
@@ -258,6 +285,8 @@ def _cmd_baker_orbit(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_baker_approx(ns: argparse.Namespace, res: CommandResult) -> None:
+    from . import baker, realfn
+
     _require_output_bound(ns.steps, "steps")
     fn = baker.as_real_fn(ns.steps)
     res.payload["steps"] = ns.steps
@@ -267,6 +296,8 @@ def _cmd_baker_approx(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_sensitivity(ns: argparse.Namespace, res: CommandResult) -> None:
+    from . import baker
+
     w = baker.sensitivity_witness(ns.eta, ns.a, ns.ap)
     res.payload["x0"] = w.start_a
     res.payload["x0p"] = w.start_b
@@ -274,6 +305,8 @@ def _cmd_sensitivity(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_grid_sim(ns: argparse.Namespace, res: CommandResult) -> None:
+    from . import grid
+
     _require_output_bound(ns.resolution + 1, "grid states")
     state = grid.GridState(ns.resolution, ns.index)
     orbit, entry, length = grid.orbit_with_cycle(state)
@@ -286,25 +319,32 @@ def _cmd_grid_sim(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_grid_table(ns: argparse.Namespace, res: CommandResult) -> None:
+    from . import grid
+
     _require_output_bound(ns.resolution + 1, "table rows")
     res.payload["resolution"] = ns.resolution
     res.rows = grid.table(ns.resolution)
 
 
-def _parse_readout(ns: argparse.Namespace) -> readout.Readout:
+def _device_digits(ns: argparse.Namespace) -> int:
+    """``--d``, refused past ``DIGITS_BOUND`` before the readout is parsed."""
     if ns.d > DIGITS_BOUND:
         raise _UsageError(f"--d {ns.d} exceeds the bound of {DIGITS_BOUND} digits")
-    return readout.parse_readout(ns.readout, ns.d)
+    return ns.d
 
 
 def _cmd_measured_succ(ns: argparse.Namespace, res: CommandResult) -> None:
-    m = _parse_readout(ns)
+    from . import readout
+
+    m = readout.parse_readout(ns.readout, _device_digits(ns))
     res.payload["readout"] = m.text
     res.payload["successors"] = ",".join(readout.successors(m).texts())
 
 
 def _cmd_measured_reach(ns: argparse.Namespace, res: CommandResult) -> None:
-    m = _parse_readout(ns)
+    from . import readout
+
+    m = readout.parse_readout(ns.readout, _device_digits(ns))
     res.payload["readout"] = m.text
     res.payload["steps"] = ns.steps
     run = readout.reach(m, ns.steps)
@@ -313,6 +353,8 @@ def _cmd_measured_reach(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_limit_demo(ns: argparse.Namespace, res: CommandResult) -> None:
+    from . import dissipative
+
     if res.decimals is None:
         res.decimals = 9  # exact states grow fast; keep the table readable
     start = Fraction(9, 10)
@@ -329,7 +371,9 @@ def _cmd_limit_demo(ns: argparse.Namespace, res: CommandResult) -> None:
 
 
 def _cmd_check(ns: argparse.Namespace, res: CommandResult) -> None:
-    from . import checks  # only this subcommand pays for compiling the suites
+    # every handler imports the library modules it uses, so a call loads
+    # only its own subcommand's: here, all of them through the suites
+    from . import checks
 
     results = checks.run_all(seed=ns.seed, fuel=ns.fuel)
     failed = sum(not r.passed and not r.out_of_fuel for r in results)
@@ -415,6 +459,8 @@ def render_plain(result: CommandResult) -> str:
 
 
 def render_structured(result: CommandResult) -> str:
+    import json
+
     doc: dict = {"status": result.status}
     if result.message:
         doc["message"] = result.message

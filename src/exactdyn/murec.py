@@ -42,6 +42,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Union
 
+from . import BUILTIN_PROGRAMS
 from .encoding import Encoding, decode_rational, encode_rational
 from .errors import ArityMismatchError, IllFormedError, ProgramParseError
 
@@ -410,15 +411,6 @@ def format_program(term: RecFn) -> str:
 def load_program(path: str) -> RecFn:
     with open(path, encoding="utf-8") as handle:
         return parse_program(handle.read())
-
-
-BUILTIN_PROGRAMS = (
-    "addition",
-    "multiplication",
-    "predecessor",
-    "truncated_subtraction",
-    "sign",
-)
 
 
 def builtin_program(name: str) -> RecFn:

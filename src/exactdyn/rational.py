@@ -2,7 +2,7 @@
 
 Every quantity in this package is a ``fractions.Fraction``: unbounded,
 always in canonical reduced form, with exact comparison.  The text format
-is an optional leading ``-``, then ``num/den`` in decimal with ``/den``
+is an optional leading ``-``, then ``num/den`` in ASCII decimal digits, ``/den``
 omitted when the denominator is 1 (``-1/3``, ``0``, ``7``).  It is plain
 ``str`` formatting, so like ``str()`` it stops at Python's int-text limit
 (``sys.get_int_max_str_digits()``); the CLI lifts that limit while it
@@ -21,7 +21,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-_RATIONAL_RE = re.compile(r"^(-?)(\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?)([0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -193,6 +194,24 @@ def test_negative_decimals_is_a_usage_error():
     assert run_cli("--decimals", "-1", "baker-step", "--x", "1/3")[0] == 1
 
 
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("encode", "--rational", "٣/٤"), "argument --rational: not a rational: '٣/٤'",
+                     id="arabic-indic-rational"),
+        pytest.param(("decode", "--code", "1_2"), "argument --code: invalid int value: '1_2'",
+                     id="separated-code"),
+        pytest.param(("baker-orbit", "--x", "1/3", "--steps", "٢"), "argument --steps: invalid int value: '٢'",
+                     id="arabic-indic-steps"),
+        pytest.param(("decode", "--code", "abc"), "argument --code: invalid int value: 'abc'", id="letters-code"),
+    ],
+)
+def test_argv_numbers_are_ascii_decimal(argv, message, fmt):
+    # Arabic-Indic digits, which a regex \d accepts, and "_" separators, which int() accepts
+    assert run_cli("--format", fmt, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_measured_reach_astronomical_steps():
     code, out, _ = run_cli("measured-reach", "--d", "2", "--readout", "0.25", "--steps", str(10**9))
     assert code == 0 and out.count(",") > 10  # large reachable set, instantly
@@ -337,9 +356,48 @@ def test_check_with_too_little_fuel_reports_no_failure():
     ]
 
 
-def test_cli_import_leaves_the_check_suites_unloaded():
-    probe = "import sys, exactdyn.cli; print('exactdyn.checks' in sys.modules)"
+_LOADED_PROBE = """\
+import io, sys
+sys.stdout = io.StringIO()
+{}
+names = (m for m in sys.modules if m.partition(".")[0] in ("exactdyn", "dataclasses", "json"))
+print(sorted(names), file=sys.__stdout__)
+"""
+_CALL = "from exactdyn import cli\nif cli.main({!r}):\n    raise SystemExit('call failed')"
+_SUBCOMMAND_MODULES = [  # (argv, the library modules past encoding and rational that it loads)
+    (["encode", "--rational", "1/3"], set()),
+    (["decode", "--code", "12"], set()),
+    (["translate", "--code", "12", "--from", "canonical", "--to", "alternative"], set()),
+    (["baker-step", "--x", "1/3"], {"baker", "grid", "realfn"}),
+    (["grid-table", "--resolution", "3"], {"grid"}),
+    (["measured-succ", "--d", "1", "--readout", "0.0"], {"readout"}),
+    (["murec-eval", "--builtin", "addition", "1", "2"], {"murec"}),
+    (["limit-demo"], {"dissipative", "realfn"}),
+]
+
+
+@pytest.mark.parametrize(
+    "statement, extra",
+    [
+        pytest.param("import exactdyn", None, id="import-exactdyn"),
+        pytest.param("import exactdyn.cli", set(), id="import-exactdyn.cli"),
+        *(
+            pytest.param(_CALL.format(["--format", fmt, *argv]), extra, id=f"{fmt}-{argv[0]}")
+            for argv, extra in _SUBCOMMAND_MODULES
+            for fmt in ("plain", "structured")
+        ),
+    ],
+)
+def test_a_call_loads_only_its_subcommands_modules(statement, extra):
     src = str(Path(cli.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout == "False\n"
+    done = subprocess.run([sys.executable, "-c", _LOADED_PROBE.format(statement)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = set(ast.literal_eval(done.stdout))
+    if extra is None:  # the package alone
+        want = {"exactdyn", "exactdyn.errors"}
+    else:
+        core = {"cli", "encoding", "errors", "rational"}
+        want = {"exactdyn", *(f"exactdyn.{name}" for name in core | extra)}
+    assert {m for m in loaded if m.startswith("exactdyn")} == want
+    assert ("json" in loaded) == ("structured" in statement)
+    assert ("dataclasses" in loaded) == bool(extra)  # every library module past the core has one

@@ -1,8 +1,12 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import exactdyn
+from exactdyn import errors
 
 PACKAGE = Path(exactdyn.__file__).parent
 
@@ -27,3 +31,14 @@ def test_every_module_imports_only_the_standard_library():
         if root != "exactdyn" and root not in sys.stdlib_module_names
     ]
     assert not outside, outside
+
+
+def test_each_public_name_is_a_package_attribute(monkeypatch):
+    for name in exactdyn.__all__:
+        if hasattr(errors, name):
+            assert getattr(exactdyn, name) is getattr(errors, name)
+        else:
+            monkeypatch.delattr(exactdyn, name, raising=False)  # unbound, as in a fresh interpreter
+            assert getattr(exactdyn, name) is importlib.import_module(f"exactdyn.{name}")
+    with pytest.raises(AttributeError, match="no_such_module"):
+        exactdyn.no_such_module
