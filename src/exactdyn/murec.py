@@ -10,7 +10,7 @@ one unit per constructor application, and answers ``Diverged`` when the
 budget runs out.  ``Diverged`` is a verdict about the budget, never a
 claim that the denoted function is undefined.
 
-Each term is compiled when it is built, into a closure made from its
+Each term is compiled on first evaluation, into a closure made from its
 children's closures, and carries the fuel it is sure to spend once it
 starts: one unit for a leaf; its own unit plus its parts' for a
 composition; its own unit plus its base's for primitive recursion; its
@@ -29,14 +29,14 @@ Terms can be read from text, one term per file::
     proj p i | zero p | succ | (comp F G1 ... Gq) | (primrec F G) | (mu F)
 
 with ``#`` starting a line comment; whitespace is insignificant and the
-three leaf forms may optionally be parenthesized.  A small corpus of
+three leaf forms may optionally be parenthesized.  Within one parse,
+leaves are shared: each distinct leaf is built once.  A small corpus of
 classic programs (addition, multiplication, predecessor, truncated
 subtraction, sign) ships with the package.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -52,8 +52,8 @@ RecFn = Union["Proj", "Zero", "Succ", "Comp", "PrimRec", "Mu"]
 # one-item list [fuel remaining] of the current evaluation.  ``_cost`` is
 # the fuel a term is sure to spend once it starts; whoever starts the term
 # charges it first, so a closure touches the budget only before a later
-# recursion step or minimization probe.  Every node computes both once,
-# when it is built, from its children's.
+# recursion step or minimization probe.  A node computes its cost when it
+# is built and its closure on first evaluation, both from its children's.
 Run = Callable[[tuple[int, ...], list[int]], int]
 
 
@@ -110,20 +110,23 @@ def _compile_mu(body: RecFn) -> Run:
     return run
 
 
+def _compile_proj(i: int) -> Run:
+    k = i - 1
+    return lambda args, budget: args[k]
+
+
 @dataclass(frozen=True)
 class Proj:
     """x_1, ..., x_p -> x_i (1-based index)."""
 
     p: int
     i: int
-    _run: Run = field(init=False, repr=False, compare=False)
+    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
     _cost = 1
 
     def __post_init__(self) -> None:
         if self.p < 1 or not 1 <= self.i <= self.p:
             raise IllFormedError(f"proj {self.p} {self.i}: index out of range")
-        k = self.i - 1
-        object.__setattr__(self, "_run", lambda args, budget: args[k])
 
 
 @dataclass(frozen=True)
@@ -155,22 +158,20 @@ class Comp:
     inner: tuple[RecFn, ...]
     _arity: int = field(init=False, repr=False, compare=False)
     _cost: int = field(init=False, repr=False, compare=False)
-    _run: Run = field(init=False, repr=False, compare=False)
+    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inner", tuple(self.inner))
         if not self.inner:
             raise IllFormedError("comp needs at least one inner term")
-        if arity(self.outer) != len(self.inner):
-            raise IllFormedError(
-                f"comp: outer arity {arity(self.outer)} != {len(self.inner)} inner terms"
-            )
-        arities = {arity(g) for g in self.inner}
+        outer_arity = arity(self.outer)
+        if outer_arity != len(self.inner):
+            raise IllFormedError(f"comp: outer arity {outer_arity} != {len(self.inner)} inner terms")
+        arities = set(map(arity, self.inner))
         if len(arities) != 1:
             raise IllFormedError(f"comp: inner terms disagree on arity: {sorted(arities)}")
         object.__setattr__(self, "_arity", arities.pop())
         object.__setattr__(self, "_cost", 1 + self.outer._cost + sum([g._cost for g in self.inner]))
-        object.__setattr__(self, "_run", _compile_comp(self.outer, self.inner))
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ class PrimRec:
     step: RecFn
     _arity: int = field(init=False, repr=False, compare=False)
     _cost: int = field(init=False, repr=False, compare=False)
-    _run: Run = field(init=False, repr=False, compare=False)
+    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if arity(self.step) != arity(self.base) + 2:
@@ -190,7 +191,6 @@ class PrimRec:
             )
         object.__setattr__(self, "_arity", arity(self.base) + 1)
         object.__setattr__(self, "_cost", 1 + self.base._cost)
-        object.__setattr__(self, "_run", _compile_primrec(self.base, self.step))
 
 
 @dataclass(frozen=True)
@@ -199,14 +199,13 @@ class Mu:
 
     body: RecFn
     _arity: int = field(init=False, repr=False, compare=False)
-    _run: Run = field(init=False, repr=False, compare=False)
+    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
     _cost = 1
 
     def __post_init__(self) -> None:
         if arity(self.body) < 1:
             raise IllFormedError("mu: body must have arity >= 1")
         object.__setattr__(self, "_arity", arity(self.body) - 1)
-        object.__setattr__(self, "_run", _compile_mu(self.body))
 
 
 def arity(term: RecFn) -> int:
@@ -222,6 +221,43 @@ def arity(term: RecFn) -> int:
     if t is Comp or t is PrimRec or t is Mu:
         return term._arity
     raise IllFormedError(f"not a term: {term!r}")
+
+
+def _children(term: RecFn) -> tuple[RecFn, ...]:
+    t = type(term)
+    if t is Comp:
+        return (term.outer, *term.inner)
+    if t is PrimRec:
+        return (term.base, term.step)
+    if t is Mu:
+        return (term.body,)
+    return ()
+
+
+_COMPILERS: dict[type, Callable[..., Run]] = {
+    Proj: lambda t: _compile_proj(t.i),
+    Comp: lambda t: _compile_comp(t.outer, t.inner),
+    PrimRec: lambda t: _compile_primrec(t.base, t.step),
+    Mu: lambda t: _compile_mu(t.body),
+}
+
+
+def _compile(term: RecFn) -> Run:
+    """Give the term, and each node below it still without one, its closure, children first.
+
+    Nodes wait on an explicit stack, so no depth reaches the recursion limit.
+    """
+    todo = [term]
+    while todo:
+        node = todo[-1]
+        waiting = [part for part in _children(node) if part._run is None]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        if node._run is None:  # a shared node can wait on the stack twice
+            object.__setattr__(node, "_run", _COMPILERS[type(node)](node))
+    return term._run
 
 
 @dataclass(frozen=True)
@@ -260,8 +296,9 @@ def evaluate(term: RecFn, args: tuple[int, ...] | list[int], fuel: int) -> EvalO
     budget = [fuel - term._cost]
     if budget[0] < 0:
         return Diverged(fuel)
+    run = term._run or _compile(term)
     try:
-        return Value(term._run(args, budget))
+        return Value(run(args, budget))
     except _OutOfFuel:
         return Diverged(fuel)
 
@@ -284,99 +321,88 @@ def conjugate_evaluate(
 
 # --- textual program format ---
 
-_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
-
-
 def _tokenize(text: str) -> list[str]:
-    lines = [line.split("#", 1)[0] for line in text.splitlines()]
-    return _TOKEN_RE.findall(" ".join(lines))
+    """Parentheses and the whitespace-separated runs between them, comments dropped."""
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]) -> None:
-        self.tokens = tokens
-        self.pos = 0
+# the tokens each leaf spans: its head and its numerals
+_LEAF_WIDTH = {"succ": 1, "zero": 2, "proj": 3}
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ProgramParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ProgramParseError(f"expected {tok!r}, got {got!r}")
-
-    def natural(self) -> int:
-        tok = self.next()
-        if not tok.isdigit():
+def _leaf(form: tuple[str, ...]) -> RecFn:
+    """The leaf a head and its numerals spell; ``form`` is cut short at the end of input."""
+    head, *numerals = form
+    for tok in numerals:
+        if not (tok.isascii() and tok.isdigit()):
             raise ProgramParseError(f"expected a natural number, got {tok!r}")
-        return int(tok)
+    if len(form) < _LEAF_WIDTH[head]:
+        raise ProgramParseError("unexpected end of input")
+    return (Proj if head == "proj" else Zero if head == "zero" else Succ)(*map(int, numerals))
 
-    def leaf(self, head: str) -> RecFn | None:
-        if head == "proj":
-            return Proj(self.natural(), self.natural())
-        if head == "zero":
-            return Zero(self.natural())
-        if head == "succ":
-            return Succ()
-        return None
 
-    def term(self) -> RecFn:
-        """Read one term.  Open forms wait on a stack, so nesting costs no recursion."""
-        open_forms: list[tuple[str, list[RecFn]]] = []
+def parse_program(text: str) -> RecFn:
+    """Parse one term from program text; IllFormedError surfaces as-is.
+
+    One loop reads the tokens.  Open forms wait on a stack, so nesting
+    costs no recursion, and each distinct leaf is built once and shared.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ProgramParseError("empty program")
+    count, pos = len(tokens), 0
+    leaves: dict[tuple[str, ...], RecFn] = {}
+    open_forms: list[tuple[str, list[RecFn]]] = []
+    try:  # reading past the last token is reaching the end of input
         while True:
-            tok = self.next()
+            tok = tokens[pos]
+            pos += 1
             if tok == "(":
-                head = self.next()
-                node = self.leaf(head)
-                if node is None:
-                    if head not in ("comp", "primrec", "mu"):
-                        raise ProgramParseError(f"unknown form {head!r}")
-                    open_forms.append((head, []))
+                tok = tokens[pos]
+                pos += 1
+                if tok in ("comp", "primrec", "mu"):
+                    open_forms.append((tok, []))
                     continue
-                self.expect(")")
-            else:
-                node = self.leaf(tok)
-                if node is None:
-                    raise ProgramParseError(f"unexpected token {tok!r}")
+                if tok not in _LEAF_WIDTH:
+                    raise ProgramParseError(f"unknown form {tok!r}")
+                open_forms.append(("(", []))  # a parenthesized leaf, open until its ")"
+            elif tok not in _LEAF_WIDTH:
+                raise ProgramParseError(f"unexpected token {tok!r}")
+            end = pos - 1 + _LEAF_WIDTH[tok]
+            form = tuple(tokens[pos - 1:end])
+            node = leaves.get(form)
+            if node is None:
+                node = leaves[form] = _leaf(form)
+            pos = end
             # hand the finished term to the innermost open form, closing each form it completes
             while open_forms:
                 head, parts = open_forms[-1]
                 parts.append(node)
                 if head == "comp":
-                    ahead = self.peek()
-                    if ahead is None:
+                    if pos == count:
                         raise ProgramParseError("unterminated comp form")
-                    if ahead != ")":
+                    if tokens[pos] != ")":
                         break
                     node = Comp(parts[0], tuple(parts[1:]))
                 elif head == "primrec":
                     if len(parts) < 2:
                         break
                     node = PrimRec(*parts)
-                else:
-                    node = Mu(*parts)
+                elif head == "mu":
+                    node = Mu(node)
                 open_forms.pop()
-                self.expect(")")
+                if tokens[pos] != ")":
+                    raise ProgramParseError(f"expected ')', got {tokens[pos]!r}")
+                pos += 1
             if not open_forms:
-                return node
-
-
-def parse_program(text: str) -> RecFn:
-    """Parse one term from program text; IllFormedError surfaces as-is."""
-    parser = _Parser(_tokenize(text))
-    if parser.peek() is None:
-        raise ProgramParseError("empty program")
-    term = parser.term()
-    if parser.peek() is not None:
-        raise ProgramParseError(f"trailing tokens starting at {parser.peek()!r}")
-    return term
+                break
+    except IndexError:
+        raise ProgramParseError("unexpected end of input") from None
+    if pos < count:
+        raise ProgramParseError(f"trailing tokens starting at {tokens[pos]!r}")
+    return node
 
 
 def format_program(term: RecFn) -> str:
@@ -395,15 +421,9 @@ def format_program(term: RecFn) -> str:
         elif t is Succ:
             out.append("succ")
         else:
-            if t is Comp:
-                head, parts = "(comp", (item.outer, *item.inner)
-            elif t is PrimRec:
-                head, parts = "(primrec", (item.base, item.step)
-            else:
-                head, parts = "(mu", (item.body,)
-            out.append(head)
+            out.append("(comp" if t is Comp else "(primrec" if t is PrimRec else "(mu")
             todo.append(")")
-            for part in reversed(parts):
+            for part in reversed(_children(item)):
                 todo += (part, " ")
     return "".join(out)
 

@@ -21,12 +21,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-_RATIONAL_RE = re.compile(r"^(-?)([0-9]+)(?:/([0-9]+))?$")
+_RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the repo text format; raises ValueError on malformed input."""
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
     sign, num, den = m.groups()

@@ -205,11 +205,26 @@ def test_negative_decimals_is_a_usage_error():
         pytest.param(("baker-orbit", "--x", "1/3", "--steps", "٢"), "argument --steps: invalid int value: '٢'",
                      id="arabic-indic-steps"),
         pytest.param(("decode", "--code", "abc"), "argument --code: invalid int value: 'abc'", id="letters-code"),
+        pytest.param(("encode", "--rational", " 1/3 "), "argument --rational: not a rational: ' 1/3 '",
+                     id="padded-rational"),
     ],
 )
 def test_argv_numbers_are_ascii_decimal(argv, message, fmt):
-    # Arabic-Indic digits, which a regex \d accepts, and "_" separators, which int() accepts
+    # Arabic-Indic digits, which a regex \d accepts, "_" separators, which int() accepts,
+    # and surrounding whitespace, which int() strips
     assert run_cli("--format", fmt, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+def test_program_numerals_are_ascii_decimal(tmp_path, fmt):
+    path = tmp_path / "id.rec"
+    path.write_text("proj \u0661 \u0661\n", encoding="utf-8")  # Arabic-Indic one, which str.isdigit() accepts
+    code, out, err = run_cli("--format", fmt, "murec-eval", "--program", str(path), "9")
+    message = "expected a natural number, got '\u0661'"
+    if fmt == "plain":
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+    else:
+        assert (code, err) == (1, "") and json.loads(out) == {"status": "usage_error", "message": message, "payload": {}}
 
 
 def test_measured_reach_astronomical_steps():

@@ -1,4 +1,9 @@
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,18 +176,48 @@ def test_fixed_costs_are_charged_up_front_with_the_same_boundary():
     assert evaluate(bumped, (3, 2), 10) == Value(6)
 
 
-def test_deep_chains_evaluate_without_recursion_error():
+def _comp_chain(depth: int) -> RecFn:
     chain = Proj(1, 1)
-    for _ in range(300):
+    for _ in range(depth):
         chain = Comp(Succ(), (chain,))
-    assert evaluate(chain, (4,), FUEL) == Value(304)
+    return chain
+
+
+def _looped_chain(depth: int) -> RecFn:
     looped = Proj(1, 1)
-    for level in range(300):
+    for level in range(depth):
         if level % 2:
             looped = Mu(Comp(looped, (Proj(2, 2),)))  # least y with looped(y) = 0
         else:
             looped = Comp(PrimRec(looped, Proj(3, 3)), (Proj(1, 1), Zero(1)))  # looped(x), by recursion to 0
-    assert evaluate(looped, (4,), FUEL) == Value(0)
+    return looped
+
+
+def test_deep_chains_evaluate_without_recursion_error():
+    assert evaluate(_comp_chain(300), (4,), FUEL) == Value(304)
+    assert evaluate(_looped_chain(300), (4,), FUEL) == Value(0)
+
+
+def test_depth_limits_at_the_default_recursion_limit():
+    # a fresh interpreter, so that no test runner frames sit below evaluate
+    probe = (
+        "import sys; from test_murec import FUEL, _comp_chain, _looped_chain, evaluate; "
+        "assert sys.getrecursionlimit() == 1000; "
+        "print(evaluate(_comp_chain(996), (4,), FUEL), evaluate(_looped_chain(498), (4,), FUEL))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          cwd=Path(__file__).parent, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "Value(value=1000) Value(value=0)\n"
+
+
+def test_compiling_a_deep_chain_needs_no_recursion():
+    chain = murec.parse_program("(comp succ " * 5000 + "proj 1 1" + ")" * 5000)
+    murec._compile(chain)  # children first, on an explicit stack
+    node = chain
+    for _ in range(5000 - 300):
+        node = node.inner[0]
+    assert node._run is not None and evaluate(node, (4,), FUEL) == Value(304)
 
 
 # --- program text format ---
@@ -207,13 +242,26 @@ def test_parse_is_whitespace_and_comment_insensitive():
     assert murec.parse_program(text) == ADD
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["", "(comp succ", "proj 2", "zero x", "(frob succ)", "succ succ", "(mu)", "# only comment"],
-)
+_PARSE_ERRORS = {
+    "": "empty program",
+    "(comp succ": "unterminated comp form",
+    "proj 2": "unexpected end of input",
+    "zero x": "expected a natural number, got 'x'",
+    "(frob succ)": "unknown form 'frob'",
+    "succ succ": "trailing tokens starting at 'succ'",
+    "(mu)": "unexpected token ')'",
+    "# only comment": "empty program",
+    # an Arabic-Indic one and a superscript two, both digits to str.isdigit()
+    "proj \u0661 \u0661": "expected a natural number, got '\u0661'",
+    "proj \u00b2 1": "expected a natural number, got '\u00b2'",
+}
+
+
+@pytest.mark.parametrize("bad", _PARSE_ERRORS)
 def test_parse_errors(bad):
-    with pytest.raises(ProgramParseError):
+    with pytest.raises(ProgramParseError) as caught:
         murec.parse_program(bad)
+    assert str(caught.value) == _PARSE_ERRORS[bad]
 
 
 def test_parse_surfaces_ill_formed_terms():
@@ -233,6 +281,139 @@ def test_format_parse_round_trip():
 def test_random_terms_round_trip_through_program_text(rng, depth, n):
     term = _random_term(rng, depth, n)
     assert murec.parse_program(murec.format_program(term)) == term
+
+
+def test_leaves_are_shared_within_a_parse():
+    term = murec.parse_program("(comp (comp succ proj 1 1) proj 1 1)")
+    assert term.inner[0] is term.outer.inner[0]
+
+
+# --- the one-pass parser against the method-per-token parser it replaced ---
+
+_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+
+
+class _Parser:
+    def __init__(self, tokens: list[str]) -> None:
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ProgramParseError("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        got = self.next()
+        if got != tok:
+            raise ProgramParseError(f"expected {tok!r}, got {got!r}")
+
+    def natural(self) -> int:
+        tok = self.next()
+        if not (tok.isascii() and tok.isdigit()):
+            raise ProgramParseError(f"expected a natural number, got {tok!r}")
+        return int(tok)
+
+    def leaf(self, head: str) -> RecFn | None:
+        if head == "proj":
+            return Proj(self.natural(), self.natural())
+        if head == "zero":
+            return Zero(self.natural())
+        if head == "succ":
+            return Succ()
+        return None
+
+    def term(self) -> RecFn:
+        """Read one term.  Open forms wait on a stack, so nesting costs no recursion."""
+        open_forms: list[tuple[str, list[RecFn]]] = []
+        while True:
+            tok = self.next()
+            if tok == "(":
+                head = self.next()
+                node = self.leaf(head)
+                if node is None:
+                    if head not in ("comp", "primrec", "mu"):
+                        raise ProgramParseError(f"unknown form {head!r}")
+                    open_forms.append((head, []))
+                    continue
+                self.expect(")")
+            else:
+                node = self.leaf(tok)
+                if node is None:
+                    raise ProgramParseError(f"unexpected token {tok!r}")
+            # hand the finished term to the innermost open form, closing each form it completes
+            while open_forms:
+                head, parts = open_forms[-1]
+                parts.append(node)
+                if head == "comp":
+                    ahead = self.peek()
+                    if ahead is None:
+                        raise ProgramParseError("unterminated comp form")
+                    if ahead != ")":
+                        break
+                    node = Comp(parts[0], tuple(parts[1:]))
+                elif head == "primrec":
+                    if len(parts) < 2:
+                        break
+                    node = PrimRec(*parts)
+                else:
+                    node = Mu(*parts)
+                open_forms.pop()
+                self.expect(")")
+            if not open_forms:
+                return node
+
+
+def _reference_parse(text: str) -> RecFn:
+    lines = [line.split("#", 1)[0] for line in text.splitlines()]
+    parser = _Parser(_TOKEN_RE.findall(" ".join(lines)))
+    if parser.peek() is None:
+        raise ProgramParseError("empty program")
+    term = parser.term()
+    if parser.peek() is not None:
+        raise ProgramParseError(f"trailing tokens starting at {parser.peek()!r}")
+    return term
+
+
+def _assert_parses_agree(text: str) -> None:
+    outcomes = []
+    for parse in (murec.parse_program, _reference_parse):
+        try:
+            outcomes.append(parse(text))
+        except (ProgramParseError, IllFormedError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], text
+
+
+def test_parser_matches_the_reference_on_random_terms():
+    for seed in range(300):
+        rng = random.Random(seed)
+        text = murec.format_program(_random_term(rng, rng.randrange(1, 6), rng.randrange(4)))
+        _assert_parses_agree(text)
+        _assert_parses_agree(text.replace("(", " ( ").replace(" ", "\n# note\n"))
+
+
+_VOCABULARY = ("(", ")", "comp", "primrec", "mu", "proj", "zero", "succ", "0", "1", "2", "3", "01", "10",
+               "x", "-1", "1.0", "#", "\n", "PROJ", "comp(", "))")
+# mostly a space; sometimes none, or whitespace that also ends a comment line or is not ASCII
+_SEPARATORS = (" ",) * 6 + ("", "\t", "\x1c", "\u2028", "\xa0")
+
+
+def test_parser_matches_the_reference_on_random_token_strings():
+    rng = random.Random(14)
+    for k in range(20_000):
+        if k % 2:
+            tokens = rng.choices(_VOCABULARY, k=rng.randrange(14))
+        else:  # a well-formed term with a token or two replaced or dropped
+            tokens = _TOKEN_RE.findall(murec.format_program(_random_term(rng, rng.randrange(1, 4), rng.randrange(3))))
+            for _ in range(rng.randrange(1, 3)):
+                tokens[rng.randrange(len(tokens))] = rng.choice((*_VOCABULARY, ""))
+        _assert_parses_agree("".join(tok + rng.choice(_SEPARATORS) for tok in tokens))
 
 
 def test_deeply_nested_text_round_trips():
