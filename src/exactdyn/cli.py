@@ -148,9 +148,9 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--fuel", type=_nonneg_int, default=10**6,
         help=(
-            "evaluation step budget (default 10^6; evaluation spends roughly 5*10^6 to "
-            "10^7 a second, so 10^6 stops within about 0.2 s and 10^12 would run for "
-            "more than a day)"
+            "evaluation step budget (default 10^6; a minimization search spends roughly "
+            "10^7 a second, so 10^6 stops within about 0.1 s and 10^12 would run for about "
+            "a day; recursion over a loop-free step spends its fuel at once, without taking time)"
         ),
     )
     parser.add_argument(

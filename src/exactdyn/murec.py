@@ -6,23 +6,29 @@ Each well-formed term has an arity p and denotes a partial function from
 p-tuples of naturals to naturals.
 
 Evaluation is total at the interface: it carries a fuel budget, charges
-one unit per constructor application, and answers ``Diverged`` when the
+one unit per constructor application, and answers ``Value`` with the
+fuel spent, which is the node-visit count, or ``Diverged`` when the
 budget runs out.  ``Diverged`` is a verdict about the budget, never a
 claim that the denoted function is undefined.
 
-Each term is compiled on first evaluation, into a closure made from its
-children's closures, and carries the fuel it is sure to spend once it
-starts: one unit for a leaf; its own unit plus its parts' for a
-composition; its own unit plus its base's for primitive recursion; its
-own unit for minimization.  Whoever starts a term charges that fixed
-cost first: ``evaluate``, or the enclosing recursion step or
-minimization probe.  Primitive recursion and minimization charge each
-later body call's fixed cost before they make it.  Charging a fixed cost
-when a term starts instead of node by node moves the moment the budget
-runs out, never whether it does: every charged amount is spent before a
-successful run ends, every increase of the total is checked, and each
-loop iteration costs at least one unit, so every budget gives the same
-``Value`` or ``Diverged`` as counting one node at a time.
+Each term is compiled on first evaluation into a closure, and carries the
+fuel it is sure to spend once it starts: its own unit plus its parts' for
+a composition, plus its base's for primitive recursion, one unit for the
+other forms.  Whoever starts a term charges that fixed cost first:
+``evaluate``, or the enclosing recursion step or minimization probe.
+That moves the moment the budget runs out, never whether it does: every
+charged amount is spent before a successful run ends, every increase of
+the total is checked, and each loop iteration costs at least one unit,
+so every budget gives the same outcome as counting one node at a time.
+
+A loop-free term, built only from projection, zero, successor and
+composition, computes ``x -> x_i + c`` or the constant ``c``, and runs
+as one closure at any depth.  Primitive recursion over a loop-free step
+charges its y steps' fuel at once and returns ``base + y*c``,
+``y - 1 + c``, ``x_j + c`` or ``c`` (for y >= 1) as the step reads the
+accumulator, the counter, a parameter or nothing.  Each level holding a
+recursion or minimization still costs one or two Python frames, so
+several hundred such levels can reach the recursion limit.
 
 Terms can be read from text, one term per file::
 
@@ -37,6 +43,7 @@ subtraction, sign) ships with the package.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -53,20 +60,14 @@ RecFn = Union["Proj", "Zero", "Succ", "Comp", "PrimRec", "Mu"]
 # the fuel a term is sure to spend once it starts; whoever starts the term
 # charges it first, so a closure touches the budget only before a later
 # recursion step or minimization probe.  A node computes its cost when it
-# is built and its closure on first evaluation, both from its children's.
+# is built, and on first evaluation its closure and its ``Form``: (i, c)
+# for args[i] + c, (None, c) for the constant c, None when it holds a loop.
 Run = Callable[[tuple[int, ...], list[int]], int]
+Form = tuple[int | None, int] | None
 
 
 class _OutOfFuel(Exception):
     pass
-
-
-def _zero(args: tuple[int, ...], budget: list[int]) -> int:
-    return 0
-
-
-def _succ(args: tuple[int, ...], budget: list[int]) -> int:
-    return args[0] + 1
 
 
 def _compile_comp(outer: RecFn, inner: tuple[RecFn, ...]) -> Run:
@@ -79,6 +80,20 @@ def _compile_comp(outer: RecFn, inner: tuple[RecFn, ...]) -> Run:
 
 def _compile_primrec(base: RecFn, step: RecFn) -> Run:
     step_cost, run_base, run_step = step._cost, base._run, step._run
+    if step._form is not None:  # a loop-free step: only the last step's result survives
+        (i, c), k = step._form, arity(base)  # the step reads x_1..x_k, then the counter, then acc
+
+        def closed(args: tuple[int, ...], budget: list[int]) -> int:
+            xs, y = args[:-1], args[-1]
+            acc = run_base(xs, budget)
+            if y:
+                budget[0] -= y * step_cost  # what the y step calls would charge
+                if budget[0] < 0:
+                    raise _OutOfFuel
+                acc = c if i is None else acc + y * c if i > k else y - 1 + c if i == k else xs[i] + c
+            return acc
+
+        return closed
 
     def run(args: tuple[int, ...], budget: list[int]) -> int:
         xs = args[:-1]
@@ -110,18 +125,21 @@ def _compile_mu(body: RecFn) -> Run:
     return run
 
 
-def _compile_proj(i: int) -> Run:
-    k = i - 1
-    return lambda args, budget: args[k]
+@dataclass(frozen=True)
+class _Term:
+    _form: Form = field(init=False, repr=False, compare=False)
+    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:  # no closure: a copy compiles again on first evaluation
+        return {name: v for name, v in vars(self).items() if name != "_run"}
 
 
 @dataclass(frozen=True)
-class Proj:
+class Proj(_Term):
     """x_1, ..., x_p -> x_i (1-based index)."""
 
     p: int
     i: int
-    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
     _cost = 1
 
     def __post_init__(self) -> None:
@@ -130,12 +148,11 @@ class Proj:
 
 
 @dataclass(frozen=True)
-class Zero:
+class Zero(_Term):
     """x_1, ..., x_p -> 0; p = 0 gives the zero constant."""
 
     p: int
-    _run = staticmethod(_zero)
-    _cost = 1
+    _cost, _form = 1, (None, 0)
 
     def __post_init__(self) -> None:
         if self.p < 0:
@@ -143,22 +160,20 @@ class Zero:
 
 
 @dataclass(frozen=True)
-class Succ:
+class Succ(_Term):
     """x -> x + 1."""
 
-    _run = staticmethod(_succ)
-    _cost = 1
+    _cost, _form = 1, (0, 1)
 
 
 @dataclass(frozen=True)
-class Comp:
+class Comp(_Term):
     """x -> outer(inner_1(x), ..., inner_q(x)); arity is the inners' common arity."""
 
     outer: RecFn
     inner: tuple[RecFn, ...]
     _arity: int = field(init=False, repr=False, compare=False)
     _cost: int = field(init=False, repr=False, compare=False)
-    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inner", tuple(self.inner))
@@ -175,14 +190,13 @@ class Comp:
 
 
 @dataclass(frozen=True)
-class PrimRec:
+class PrimRec(_Term):
     """h(x, 0) = base(x); h(x, y+1) = step(x, y, h(x, y))."""
 
     base: RecFn
     step: RecFn
     _arity: int = field(init=False, repr=False, compare=False)
     _cost: int = field(init=False, repr=False, compare=False)
-    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if arity(self.step) != arity(self.base) + 2:
@@ -194,12 +208,11 @@ class PrimRec:
 
 
 @dataclass(frozen=True)
-class Mu:
+class Mu(_Term):
     """x -> least y with body(x, y) = 0, all smaller y giving nonzero."""
 
     body: RecFn
     _arity: int = field(init=False, repr=False, compare=False)
-    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
     _cost = 1
 
     def __post_init__(self) -> None:
@@ -235,34 +248,59 @@ def _children(term: RecFn) -> tuple[RecFn, ...]:
 
 
 _COMPILERS: dict[type, Callable[..., Run]] = {
-    Proj: lambda t: _compile_proj(t.i),
     Comp: lambda t: _compile_comp(t.outer, t.inner),
     PrimRec: lambda t: _compile_primrec(t.base, t.step),
     Mu: lambda t: _compile_mu(t.body),
 }
 
 
-def _compile(term: RecFn) -> Run:
-    """Give the term, and each node below it still without one, its closure, children first.
+def _normal_form(node: RecFn) -> Form:  # from its parts' forms
+    if type(node) is Proj:
+        return (node.i - 1, 0)
+    if type(node) is not Comp:
+        return None
+    inner = [g._form for g in node.inner]
+    if None in inner or node.outer._form is None:
+        return None
+    i, c = node.outer._form
+    return (None, c) if i is None else (inner[i][0], inner[i][1] + c)
 
-    Nodes wait on an explicit stack, so no depth reaches the recursion limit.
+
+def _closure(node: RecFn) -> Run:
+    if node._form is None:
+        return _COMPILERS[type(node)](node)
+    i, c = node._form
+    return (lambda args, budget: c) if i is None else (lambda args, budget: args[i] + c)
+
+
+def _compile(term: RecFn) -> Run:
+    """Find each node's form, then give the term, and each part a loop below it runs, a closure.
+
+    Both passes go children first on an explicit stack, so no depth reaches
+    the recursion limit; a loop-free node's parts never run, so get no closure.
     """
-    todo = [term]
-    while todo:
-        node = todo[-1]
-        waiting = [part for part in _children(node) if part._run is None]
-        if waiting:
-            todo += waiting
-            continue
-        todo.pop()
-        if node._run is None:  # a shared node can wait on the stack twice
-            object.__setattr__(node, "_run", _COMPILERS[type(node)](node))
+    for parts, missing, name, make in (
+        (_children, lambda node: not hasattr(node, "_form"), "_form", _normal_form),
+        (lambda node: () if node._form else _children(node),
+         lambda node: node._run is None, "_run", _closure),
+    ):
+        todo = [term]
+        while todo:
+            node = todo[-1]
+            waiting = [part for part in parts(node) if missing(part)]
+            if waiting:
+                todo += waiting
+                continue
+            todo.pop()
+            if missing(node):  # a shared node can wait on the stack twice
+                object.__setattr__(node, name, make(node))
     return term._run
 
 
 @dataclass(frozen=True)
 class Value:
     value: int
+    fuel_spent: int = field(default=0, compare=False)  # what the run charged; not part of equality
 
 
 @dataclass(frozen=True)
@@ -276,9 +314,9 @@ EvalOutcome = Union[Value, Diverged]
 def evaluate(term: RecFn, args: tuple[int, ...] | list[int], fuel: int) -> EvalOutcome:
     """Run a term on a tuple of naturals under a fuel budget.
 
-    Returns Value(v) when the computation finishes within the budget and
-    Diverged(fuel) when the budget is exhausted.  Minimization probes
-    y = 0, 1, 2, ... in order, so a returned witness is always least.
+    Returns Value(v, spent) when the computation finishes having charged
+    spent <= fuel, and Diverged(fuel) when the budget is exhausted.
+    Minimization probes y = 0, 1, 2, ... in order, so a witness is least.
 
     The budget counts one unit per constructor application.  Each term's
     fixed cost is charged in one step when the term starts, the whole
@@ -298,7 +336,7 @@ def evaluate(term: RecFn, args: tuple[int, ...] | list[int], fuel: int) -> EvalO
         return Diverged(fuel)
     run = term._run or _compile(term)
     try:
-        return Value(run(args, budget))
+        return Value(run(args, budget), fuel - budget[0])
     except _OutOfFuel:
         return Diverged(fuel)
 
@@ -338,6 +376,8 @@ def _leaf(form: tuple[str, ...]) -> RecFn:
     for tok in numerals:
         if not (tok.isascii() and tok.isdigit()):
             raise ProgramParseError(f"expected a natural number, got {tok!r}")
+        if 0 < (limit := sys.get_int_max_str_digits()) < len(tok):  # past what int() reads
+            raise ProgramParseError(f"numeral of {len(tok)} digits exceeds the {limit}-digit limit")
     if len(form) < _LEAF_WIDTH[head]:
         raise ProgramParseError("unexpected end of input")
     return (Proj if head == "proj" else Zero if head == "zero" else Succ)(*map(int, numerals))

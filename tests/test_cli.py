@@ -169,11 +169,25 @@ def test_structured_errors_go_in_the_document():
 
 
 def test_deeply_nested_program_is_a_usage_error(tmp_path):
+    # every level holds a minimization, and each costs Python frames
+    depth = 5000
+    path = tmp_path / "deep.rec"
+    path.write_text("(mu (comp " * depth + "proj 1 1" + " proj 2 2))" * depth)
+    code, out, err = run_cli("murec-eval", "--program", str(path), "0")
+    assert code == 1 and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+def test_deep_loop_free_program_evaluates(tmp_path, fmt):
     depth = 5000
     path = tmp_path / "deep.rec"
     path.write_text("(comp succ " * depth + "proj 1 1" + ")" * depth)
-    code, out, err = run_cli("murec-eval", "--program", str(path), "0")
-    assert code == 1 and "nested too deeply" in err
+    code, out, err = run_cli("--format", fmt, "murec-eval", "--program", str(path), "0")
+    payload = {"program": str(path), "args": "0", "value": depth}
+    if fmt == "plain":
+        assert (code, out, err) == (0, "".join(f"{key}={value}\n" for key, value in payload.items()), "")
+    else:
+        assert (code, err) == (0, "") and json.loads(out) == {"status": "ok", "payload": payload}
 
 
 def test_invalid_grid_and_readout_are_domain_errors():
@@ -215,16 +229,26 @@ def test_argv_numbers_are_ascii_decimal(argv, message, fmt):
     assert run_cli("--format", fmt, *argv) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("fmt", ["plain", "structured"])
-def test_program_numerals_are_ascii_decimal(tmp_path, fmt):
-    path = tmp_path / "id.rec"
-    path.write_text("proj \u0661 \u0661\n", encoding="utf-8")  # Arabic-Indic one, which str.isdigit() accepts
+def _assert_program_is_a_usage_error(path: Path, text: str, message: str, fmt: str) -> None:
+    path.write_text(text, encoding="utf-8")
     code, out, err = run_cli("--format", fmt, "murec-eval", "--program", str(path), "9")
-    message = "expected a natural number, got '\u0661'"
     if fmt == "plain":
         assert (code, out, err) == (1, "", f"error: {message}\n")
     else:
         assert (code, err) == (1, "") and json.loads(out) == {"status": "usage_error", "message": message, "payload": {}}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+def test_program_numerals_are_ascii_decimal(tmp_path, fmt):
+    # an Arabic-Indic one, which str.isdigit() accepts
+    message = "expected a natural number, got '\u0661'"
+    _assert_program_is_a_usage_error(tmp_path / "id.rec", "proj \u0661 \u0661\n", message, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+def test_program_numerals_past_the_int_text_limit_are_usage_errors(tmp_path, fmt):
+    message = "numeral of 5001 digits exceeds the 4300-digit limit"
+    _assert_program_is_a_usage_error(tmp_path / "id.rec", "proj 1" + "0" * 5000 + " 1\n", message, fmt)
 
 
 def test_measured_reach_astronomical_steps():

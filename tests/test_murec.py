@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -123,24 +124,24 @@ def _reference(term: RecFn, args: tuple[int, ...], fuel: int) -> tuple[murec.Eva
 
 
 def _assert_every_budget_agrees(term: RecFn, args: tuple[int, ...], cap: int = 1000) -> None:
-    """Same outcome for every budget from 0 to cost + 2 (to 100, and cap, when cap is not enough)."""
+    """Same outcome and fuel spent for every budget from 0 to cost + 2 (to 100, and cap, when cap is not enough)."""
     outcome, cost = _reference(term, args, cap)
     budgets = range(cost + 3) if isinstance(outcome, Value) else [*range(100), cap]
     for fuel in budgets:
-        assert evaluate(term, args, fuel) == _reference(term, args, fuel)[0], (
-            murec.format_program(term), args, fuel
-        )
+        got = evaluate(term, args, fuel)
+        assert (got, got.fuel_spent) == _reference(term, args, fuel), (murec.format_program(term), args, fuel)
 
 
-def _random_term(rng: random.Random, depth: int, n: int) -> RecFn:
-    """A well-formed term of arity n nesting comp, primrec and mu up to depth levels."""
+def _random_term(rng: random.Random, depth: int, n: int, loops: bool = True) -> RecFn:
+    """A well-formed term of arity n nesting comp (and primrec and mu when loops) up to depth levels."""
     if depth == 0 or rng.random() < 0.25:
         leaves = [Zero(n)] + [Proj(n, i) for i in range(1, n + 1)] + [Succ()] * (n == 1)
         return rng.choice(leaves)
-    move = rng.choice(("comp", "primrec", "mu") if n else ("comp", "mu"))
+    move = rng.choice(("comp", "primrec", "mu") if n else ("comp", "mu")) if loops else "comp"
     if move == "comp":
         q = rng.randrange(1, 4)
-        return Comp(_random_term(rng, depth - 1, q), tuple(_random_term(rng, depth - 1, n) for _ in range(q)))
+        parts = [_random_term(rng, depth - 1, q, loops)] + [_random_term(rng, depth - 1, n, loops) for _ in range(q)]
+        return Comp(parts[0], tuple(parts[1:]))
     if move == "primrec":
         return PrimRec(_random_term(rng, depth - 1, n - 1), _random_term(rng, depth - 1, n + 1))
     return Mu(_random_term(rng, depth - 1, n + 1))
@@ -159,6 +160,37 @@ def test_random_terms_match_the_reference_at_every_budget():
         n = rng.randrange(4)
         term = _random_term(rng, rng.randrange(1, 6), n)
         _assert_every_budget_agrees(term, tuple(rng.randrange(4) for _ in range(n)))
+
+
+def test_loop_free_terms_have_the_reference_value_as_their_normal_form():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randrange(4)
+        term = _random_term(rng, rng.randrange(1, 7), n, loops=False)
+        args = tuple(rng.randrange(100) for _ in range(n))
+        murec._compile(term)
+        i, c = term._form
+        assert (c if i is None else args[i] + c) == _reference(term, args, FUEL)[0].value, murec.format_program(term)
+
+
+# a loop-free step over (x1, x2, k, acc) for each column of the closed form, with c = 0 and c > 0
+_STEPS = {
+    "acc": Proj(4, 4),
+    "acc+2": Comp(Succ(), (Comp(Succ(), (Proj(4, 4),)),)),
+    "counter": Proj(4, 3),
+    "counter+1": Comp(Succ(), (Proj(4, 3),)),
+    "x2": Proj(4, 2),
+    "x2+1": Comp(Proj(2, 2), (Proj(4, 4), Comp(Succ(), (Proj(4, 2),)))),
+    "zero": Zero(4),
+    "one": Comp(Succ(), (Comp(Zero(1), (Proj(4, 4),)),)),
+}
+
+
+@pytest.mark.parametrize("step", _STEPS)
+def test_recursion_over_a_loop_free_step_matches_the_reference_at_every_budget(step):
+    for base in (Proj(2, 1), Comp(ADD, (Proj(2, 1), Proj(2, 2)))):  # loop-free, and a loop of its own
+        for y in (0, 1, 2, 37):
+            _assert_every_budget_agrees(PrimRec(base, _STEPS[step]), (3, 5, y))
 
 
 def test_fixed_costs_are_charged_up_front_with_the_same_boundary():
@@ -203,21 +235,39 @@ def test_depth_limits_at_the_default_recursion_limit():
     probe = (
         "import sys; from test_murec import FUEL, _comp_chain, _looped_chain, evaluate; "
         "assert sys.getrecursionlimit() == 1000; "
-        "print(evaluate(_comp_chain(996), (4,), FUEL), evaluate(_looped_chain(498), (4,), FUEL))"
+        "print(evaluate(_comp_chain(100_000), (4,), FUEL).value, evaluate(_looped_chain(498), (4,), FUEL).value)"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                           cwd=Path(__file__).parent, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout == "Value(value=1000) Value(value=0)\n"
+    assert done.stdout == "100004 0\n"
 
 
 def test_compiling_a_deep_chain_needs_no_recursion():
-    chain = murec.parse_program("(comp succ " * 5000 + "proj 1 1" + ")" * 5000)
-    murec._compile(chain)  # children first, on an explicit stack
-    node = chain
-    for _ in range(5000 - 300):
-        node = node.inner[0]
-    assert node._run is not None and evaluate(node, (4,), FUEL) == Value(304)
+    depth = 5000
+    looped = murec.parse_program("(mu (comp " * depth + "proj 1 1" + " proj 2 2))" * depth)
+    murec._compile(looped)  # children first, on an explicit stack
+    node = looped
+    for _ in range(depth - 200):
+        node = node.body.outer
+    assert node._run is not None and evaluate(node, (4,), FUEL) == Value(0)
+    # a loop-free chain runs as one closure, so its parts get none
+    chain = murec.parse_program("(comp succ " * depth + "proj 1 1" + ")" * depth)
+    murec._compile(chain)
+    assert chain.inner[0]._run is None and evaluate(chain, (4,), FUEL) == Value(depth + 4)
+
+
+def test_terms_pickle_before_and_after_evaluation():
+    for name in murec.BUILTIN_PROGRAMS:
+        term = murec.builtin_program(name)
+        args = (3,) if arity(term) == 1 else (5, 3)
+        before = pickle.loads(pickle.dumps(term))
+        outcome = evaluate(term, args, FUEL)
+        after = pickle.loads(pickle.dumps(term))
+        assert before == term == after
+        for copy in (before, after):
+            got = evaluate(copy, args, FUEL)
+            assert (got, got.fuel_spent) == (outcome, outcome.fuel_spent)
 
 
 # --- program text format ---
@@ -230,6 +280,7 @@ def test_parse_leaves_and_forms():
     assert murec.parse_program("(proj 2 1)") == Proj(2, 1)
     assert murec.parse_program("(comp succ proj 2 2)") == Comp(Succ(), (Proj(2, 2),))
     assert murec.parse_program("(mu proj 2 2)") == Mu(Proj(2, 2))
+    assert murec.parse_program("zero 1" + "0" * 4299) == Zero(10**4299)  # as long as int() reads
 
 
 def test_parse_is_whitespace_and_comment_insensitive():
@@ -254,10 +305,12 @@ _PARSE_ERRORS = {
     # an Arabic-Indic one and a superscript two, both digits to str.isdigit()
     "proj \u0661 \u0661": "expected a natural number, got '\u0661'",
     "proj \u00b2 1": "expected a natural number, got '\u00b2'",
+    # past Python's int-text limit, which int() would refuse with its own ValueError
+    "proj 1" + "0" * 5000 + " 1": "numeral of 5001 digits exceeds the 4300-digit limit",
 }
 
 
-@pytest.mark.parametrize("bad", _PARSE_ERRORS)
+@pytest.mark.parametrize("bad", _PARSE_ERRORS, ids=lambda bad: "5001-digit numeral" if len(bad) > 5000 else None)
 def test_parse_errors(bad):
     with pytest.raises(ProgramParseError) as caught:
         murec.parse_program(bad)
