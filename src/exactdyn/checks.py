@@ -1,15 +1,20 @@
-"""Seeded property suites for every module, behind ``exactdyn check``.
+"""Seeded property suites for every module, each property written once.
 
-Each suite verifies its module's contract at interactive scale: round
-trips, oracle agreement, Lipschitz bounds, witness validity.  All
-sampling is driven by one seed, so a run is reproducible bit for bit.
+Each suite verifies its module's contract: round trips, oracle
+agreement, Lipschitz bounds, witness validity.  All sampling is driven
+by one seed, so a run is reproducible bit for bit.  Every suite runs at
+two scales.  ``exactdyn check`` runs the small one, which is the
+default; the acceptance gate (``tests/test_acceptance.py``) passes
+``gate=True`` for more samples over wider ranges, at seed 0 and fuel
+10^6.  Baker and dissipative have one scale: their samples already
+cover the gate.
+
 Each kind of test has one home.  Properties, claims over a range or a
-sample, live here and only here; ``tests/test_cli.py`` runs them all.
-Worked examples, input validation, differential tests against reference
-oracles and samples too slow for an interactive run live in the module
-tests (``tests/test_<module>.py``); the acceptance gate re-runs the
-central properties on larger samples.  So no check here pins a single
-value or restates the formula of the function it names.
+sample, live here and only here.  Worked examples, input validation,
+differential tests against reference oracles and samples of other
+shapes live in the module tests (``tests/test_<module>.py``).  So no
+check here pins a single value or restates the formula of the function
+it names.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ def _check(name: str, body: Callable[[], str | None]) -> CheckResult:
     return CheckResult(name, detail is None, detail or "")
 
 
-# --- seeded samplers (shared with the test suite) ---
+# --- seeded samplers ---
 
 
 def seeded_rationals(rng: random.Random, count: int) -> list[Fraction]:
@@ -87,7 +92,7 @@ def seeded_unit_rationals(rng: random.Random, count: int) -> list[Fraction]:
 # --- encoding ---
 
 
-def encoding_checks(seed: int, fuel: int) -> list[CheckResult]:
+def encoding_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
 
     def pairing_window() -> str | None:
@@ -101,7 +106,7 @@ def encoding_checks(seed: int, fuel: int) -> list[CheckResult]:
         return None
 
     def round_trip() -> str | None:
-        samples = seeded_rationals(rng, 2000)
+        samples = seeded_rationals(rng, 10**4 if gate else 2000)
         for digits in (60, 1000):  # the pairing must stay exact at thousands of digits
             for _ in range(5):
                 q = Fraction(rng.randrange(10**digits), rng.randrange(1, 10**digits))
@@ -150,7 +155,7 @@ def encoding_checks(seed: int, fuel: int) -> list[CheckResult]:
 _DIVERGENT = murec.Mu(murec.Comp(murec.Succ(), (murec.Proj(2, 2),)))
 
 
-def murec_checks(seed: int, fuel: int) -> list[CheckResult]:
+def murec_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
     add = murec.builtin_program("addition")
     mul = murec.builtin_program("multiplication")
@@ -177,6 +182,7 @@ def murec_checks(seed: int, fuel: int) -> list[CheckResult]:
             (sub, lambda x, y: max(x - y, 0), "truncated_subtraction", 25),
         )
         for term, oracle, name, top in binary:
+            top = 51 if gate else top
             for x in range(top):
                 for y in range(top):
                     got = evaluate(term, (x, y))
@@ -201,7 +207,7 @@ def murec_checks(seed: int, fuel: int) -> list[CheckResult]:
         return None
 
     def divergence() -> str | None:
-        for budget in (10**3, 10**4):
+        for budget in (10**3, 10**6 if gate else 10**4):
             got = murec.evaluate(_DIVERGENT, (0,), budget)
             if got != murec.Diverged(budget):
                 return f"successor search terminated: {got}"
@@ -249,13 +255,13 @@ def murec_checks(seed: int, fuel: int) -> list[CheckResult]:
 # --- realfn (exercised with the folded doubling map) ---
 
 
-def realfn_checks(seed: int, fuel: int) -> list[CheckResult]:
+def realfn_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
 
     def certified_moduli() -> str | None:
-        for n in (1, 2, 3, 6):
+        for n in range(1, 11) if gate else (1, 2, 3, 6):
             report = realfn.check_modulus(
-                baker.as_real_fn(n), lambda q, n=n: baker.iterate(q, n), 250, seed
+                baker.as_real_fn(n), lambda q, n=n: baker.iterate(q, n), 1000 if gate else 250, seed
             )
             if not report.ok:
                 return f"n={n}: {report.failures[0]}"
@@ -264,7 +270,7 @@ def realfn_checks(seed: int, fuel: int) -> list[CheckResult]:
     def wrong_modulus_detected() -> str | None:
         honest = baker.as_real_fn(2)
         lying = realfn.RealFn(approx=honest.approx, modulus=lambda eps: eps, domain=honest.domain)
-        report = realfn.check_modulus(lying, lambda q: baker.iterate(q, 2), 500, seed)
+        report = realfn.check_modulus(lying, lambda q: baker.iterate(q, 2), 1000 if gate else 500, seed)
         if report.ok:
             return "an accuracy rule off by 4x went unnoticed"
         if any(f.error <= f.eps for f in report.failures):
@@ -343,7 +349,7 @@ def realfn_checks(seed: int, fuel: int) -> list[CheckResult]:
 # --- baker ---
 
 
-def baker_checks(seed: int, fuel: int) -> list[CheckResult]:
+def baker_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
     special = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                Fraction(1, 4), Fraction(3, 4)]
@@ -406,16 +412,22 @@ def baker_checks(seed: int, fuel: int) -> list[CheckResult]:
 # --- grid ---
 
 
-def grid_checks(seed: int, fuel: int) -> list[CheckResult]:
+def grid_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
-    resolutions = list(range(1, 41)) + [rng.randrange(41, 1001) for _ in range(40)]
 
     def exactness() -> str | None:
-        for n_res in resolutions:
+        if gate:  # every grid up to N = 100, along 20 steps
+            sizes, steps = range(1, 101), 20
+        else:
+            sizes, steps = [*range(1, 41), *(rng.randrange(41, 1001) for _ in range(40))], 1
+        for n_res in sizes:
             for i in range(n_res + 1):
                 s = grid.GridState(n_res, i)
-                if grid.step(s).position != baker.step(s.position):
-                    return f"grid step at {i}/{n_res} disagrees with the exact map"
+                exact = s.position
+                for n in range(1, steps + 1):
+                    s, exact = grid.step(s), baker.step(exact)
+                    if s.position != exact:
+                        return f"grid orbit of {i}/{n_res} leaves the exact one at step {n}"
         return None
 
     def table_matches_iteration() -> str | None:
@@ -455,26 +467,43 @@ def grid_checks(seed: int, fuel: int) -> list[CheckResult]:
 # --- readout ---
 
 
-def readout_checks(seed: int, fuel: int) -> list[CheckResult]:
+def _sampled_successors(digits: int, k: int, points: int) -> set[int]:
+    """Readouts of the images of sample points of cell k at d digits.
+
+    The samples are `points` evenly spaced points, stepped in integers,
+    and the special points stepped by ``baker.step``: the cell's start,
+    a point one millionth of its width below its end, and 1/4, 1/2 and
+    3/4 where they fall inside.
+    """
+    scale = 10**digits
+    observed = set()
+    if k < scale:
+        denom = scale * points
+        for m in range(k * points, (k + 1) * points):  # the point m/denom lies in the cell
+            image = 2 * m if 2 * m <= denom else 2 * denom - 2 * m
+            observed.add(image // points)
+    lo = Fraction(k, scale)
+    hi = Fraction(k + 1, scale) if k < scale else lo
+    specials = [lo, hi - (hi - lo) / 10**6]
+    specials += [s for s in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)) if lo <= s < hi]
+    observed.update(readout.measure(baker.step(x), digits).index for x in specials)
+    return observed
+
+
+def readout_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
+    depths = (1, 2, 3) if gate else (1, 2)
 
     def soundness() -> str | None:
-        for digits in (1, 2):
+        for digits in depths:
             for k in range(10**digits + 1):
-                cell = readout.Readout(digits, k).cell()
                 claimed = readout.successors(readout.Readout(digits, k))
-                width = cell.hi - cell.lo
-                for _ in range(60):
-                    if width == 0:
-                        x = cell.lo
-                    else:
-                        x = cell.lo + width * Fraction(rng.randrange(10**6), 10**6 + 1)
-                    if readout.measure(baker.step(x), digits).index not in claimed:
-                        return f"d={digits}: sampled image of cell {k} escaped its successors"
+                if not all(j in claimed for j in _sampled_successors(digits, k, 1000 if gate else 60)):
+                    return f"d={digits}: sampled image of cell {k} escaped its successors"
         return None
 
     def witness_completeness() -> str | None:
-        for digits in (1, 2):
+        for digits in depths:
             for k in range(10**digits + 1):
                 m = readout.Readout(digits, k)
                 claimed = readout.successors(m)
@@ -493,17 +522,20 @@ def readout_checks(seed: int, fuel: int) -> list[CheckResult]:
         return None
 
     def reach_recurrence() -> str | None:
-        for digits, starts in ((1, range(11)), (2, [0, 13, 50, 77, 100])):
+        if gate:  # every start at d <= 2 for 13 steps; the ends and a sample at d = 3 for 6
+            runs = ((1, range(11), 13), (2, range(101), 13), (3, [0, 1000, *rng.sample(range(1, 1000), 6)], 6))
+        else:
+            runs = ((1, range(11), 6), (2, [0, 13, 50, 77, 100], 6))
+        for digits, starts, steps in runs:
             table = dict(readout.relation_table(digits))
             for k in starts:
                 m = readout.Readout(digits, k)
-                for n in range(6):
-                    direct = set(readout.reach(m, n + 1).members)
-                    rebuilt: set[int] = set()
-                    for j in readout.reach(m, n).members:
-                        rebuilt.update(table[j].members)
+                rebuilt = {k}
+                for n in range(steps + 1):
+                    direct = set(readout.reach(m, n).members)
                     if direct != rebuilt:
                         return f"d={digits}: reach recurrence failed at start {k}, n={n}"
+                    rebuilt = set().union(*(table[j].members for j in direct))
         return None
 
     return [
@@ -516,7 +548,7 @@ def readout_checks(seed: int, fuel: int) -> list[CheckResult]:
 # --- dissipative ---
 
 
-def dissipative_checks(seed: int, fuel: int) -> list[CheckResult]:
+def dissipative_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
 
     def convergence_bound() -> str | None:

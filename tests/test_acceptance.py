@@ -1,201 +1,70 @@
 """Acceptance gate: one test per shipped acceptance criterion.
 
-Every criterion prints a single pass/fail line (run with ``pytest -s`` or
-read captured output).  All equalities are exact rational comparisons;
-there are no float tolerances anywhere.
+Criteria 1-7 run the seeded check suites of ``exactdyn.checks`` at gate
+scale, seed 0 and fuel 10^6; criterion 8 reproduces the published CLI
+examples.  Every criterion prints a single pass/fail line (run with
+``pytest -s`` or read captured output), naming its first failure.  All
+equalities are exact rational comparisons; there are no float
+tolerances anywhere.
 """
 
 import io
-import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-from exactdyn import baker, cli, dissipative, grid, murec, readout, realfn
-from exactdyn.checks import seeded_rationals, seeded_unit_rationals
-from exactdyn.encoding import Encoding, decode_rational, encode_rational, pair, unpair
+from exactdyn import checks, cli, grid
 
 GOLDEN = Path(__file__).parent / "golden"
 FUEL = 10**6
 
 
-def _report(num: int, ok: bool, label: str, detail: str = "") -> None:
-    line = f"acceptance {num} {'PASS' if ok else 'FAIL'}: {label}"
-    if detail and not ok:
-        line += f" ({detail})"
+def _report(num: int, label: str, failures: list[str]) -> None:
+    line = f"acceptance {num} {'FAIL' if failures else 'PASS'}: {label}"
+    if failures:
+        line += f" ({failures[0]})"
     print(line)
-    assert ok, line
+    assert not failures, line
+
+
+def _gate(suite) -> list[str]:
+    """The failing checks of a suite at gate scale, each as ``name: detail``."""
+    return [f"{r.name}: {r.detail}" for r in suite(0, FUEL, gate=True) if not r.passed]
 
 
 def test_criterion_1_encoding_round_trip():
-    failures = []
-    rng = random.Random(0)
-    for q in seeded_rationals(rng, 10**4):
-        for enc in Encoding:
-            if decode_rational(encode_rational(q, enc), enc) != q:
-                failures.append(f"round trip broke at {q} under {enc.value}")
-    for c in range(10**4):
-        if pair(*unpair(c)) != c:
-            failures.append(f"pairing not bijective at {c}")
-    _report(1, not failures, "encode/decode round trip and pairing bijectivity, exact",
-            failures[0] if failures else "")
+    _report(1, "encode/decode round trip and pairing bijectivity, exact", _gate(checks.encoding_checks))
 
 
 def test_criterion_2_murec_oracle_equivalence():
-    failures = []
-    add = murec.builtin_program("addition")
-    mul = murec.builtin_program("multiplication")
-    for x in range(51):
-        for y in range(51):
-            if murec.evaluate(add, (x, y), FUEL) != murec.Value(x + y):
-                failures.append(f"addition wrong at ({x},{y})")
-            if murec.evaluate(mul, (x, y), FUEL) != murec.Value(x * y):
-                failures.append(f"multiplication wrong at ({x},{y})")
-    hopeless = murec.Mu(murec.Comp(murec.Succ(), (murec.Proj(2, 2),)))
-    for budget in (10**3, 10**6):
-        if murec.evaluate(hopeless, (0,), budget) != murec.Diverged(budget):
-            failures.append(f"successor search terminated at fuel {budget}")
-    _report(2, not failures, "terms match built-in arithmetic to 50; hopeless search diverges",
-            failures[0] if failures else "")
+    _report(2, "terms match built-in arithmetic to 50; hopeless search diverges", _gate(checks.murec_checks))
 
 
 def test_criterion_3_modulus_certification():
-    failures = []
-    for n in range(1, 11):
-        report = realfn.check_modulus(
-            baker.as_real_fn(n), lambda q, n=n: baker.iterate(q, n), 1000, seed=0
-        )
-        if report.trials < 1000 or not report.ok:
-            failures.append(f"n={n}: {report.failures[0] if report.failures else 'short run'}")
-    honest = baker.as_real_fn(2)
-    lying = realfn.RealFn(approx=honest.approx, modulus=lambda eps: eps, domain=honest.domain)
-    lying_report = realfn.check_modulus(lying, lambda q: baker.iterate(q, 2), 1000, seed=0)
-    if lying_report.ok:
-        failures.append("deliberately wrong accuracy rule produced no counterexample")
-    _report(3, not failures, "accuracy rules certified for 1..10 steps; wrong rule caught",
-            failures[0] if failures else "")
+    _report(3, "accuracy rules certified for 1..10 steps; wrong rule caught", _gate(checks.realfn_checks))
 
 
 def test_criterion_4_sensitivity_witnesses():
-    failures = []
-    rng = random.Random(0)
-    for _ in range(100):
-        eta = Fraction(1 + rng.randrange(10**6), 10**6)
-        a, b = seeded_unit_rationals(rng, 2)
-        w = baker.sensitivity_witness(eta, a, b)
-        if w.start_gap > eta:
-            failures.append(f"starts farther than eta for {eta}")
-        if baker.iterate(w.start_a, w.steps) != a or baker.iterate(w.start_b, w.steps) != b:
-            failures.append(f"orbit missed its target for {eta}")
-    tiny = baker.sensitivity_witness(Fraction(1, 10**6), Fraction(0), Fraction(1))
-    if tiny.start_gap > Fraction(1, 10**6) or tiny.end_gap != 1:
-        failures.append("eta = 10^-6 did not reach exact unit separation")
-    _report(4, not failures, "100 seeded witnesses exact; unit separation from eta 10^-6",
-            failures[0] if failures else "")
+    _report(4, "100 seeded witnesses exact; unit separation from eta 10^-6", _gate(checks.baker_checks))
 
 
 def test_criterion_5_grid_equivalence():
-    failures = []
-    for resolution in range(1, 101):
-        for i in range(resolution + 1):
-            state = grid.GridState(resolution, i)
-            exact = state.position
-            for n in range(1, 21):
-                state = grid.step(state)
-                exact = baker.step(exact)
-                if state.position != exact:
-                    failures.append(f"grid {i}/{resolution} diverged at step {n}")
-                    break
-            else:
-                continue
-            break
+    failures = _gate(checks.grid_checks)
     for resolution in range(1, 101):
         eta = grid.min_separation(resolution)
         for i in range(resolution + 1):
             for j in range(resolution + 1):
                 if (abs(Fraction(i - j, resolution)) <= eta) != (i == j):
                     failures.append(f"collapse failed at N={resolution}, {i} vs {j}")
-    _report(5, not failures, "grid dynamics exactly rational; closeness below 1/(2N) is equality",
-            failures[0] if failures else "")
-
-
-def _observed_successors(digits: int, k: int) -> set:
-    """Brute-force oracle: 10^3 grid samples per cell, endpoints, fold preimages."""
-    scale = 10**digits
-    observed = set()
-    if k < scale:
-        denom = scale * 1000
-        base = k * 1000
-        for j in range(1000):
-            m = base + j  # the point m/denom lies in the cell
-            image = 2 * m if 2 * m <= denom else 2 * denom - 2 * m
-            observed.add(image // 1000)
-    lo = Fraction(k, scale)
-    hi = Fraction(k + 1, scale) if k < scale else lo
-    specials = [lo, hi - (hi - lo) / 10**6]
-    for s in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        if lo <= s < hi:
-            specials.append(s)
-    for x in specials:
-        observed.add(readout.measure(baker.step(x), digits).index)
-    return observed
+    _report(5, "grid dynamics exactly rational; closeness below 1/(2N) is equality", failures)
 
 
 def test_criterion_6_measured_relation():
-    failures = []
-    for digits in (1, 2, 3):
-        for k in range(10**digits + 1):
-            m = readout.Readout(digits, k)
-            claimed = set(readout.successors(m).members)
-            observed = _observed_successors(digits, k)
-            if not observed <= claimed:
-                failures.append(f"d={digits} cell {k}: sampled successors {observed - claimed} missing")
-            witnesses = readout.successor_witnesses(m)
-            if set(witnesses) != claimed:
-                failures.append(f"d={digits} cell {k}: witnesses do not cover the claim")
-                continue
-            cell = m.cell()
-            for target, x in witnesses.items():
-                in_cell = cell.lo <= x and (x < cell.hi or (x == cell.hi and not cell.hi_open))
-                if not in_cell or readout.measure(baker.step(x), digits).index != target:
-                    failures.append(f"d={digits} cell {k}: witness for {target} bogus")
-    if readout.successors(readout.Readout(3, 0)).texts() != ["0.000", "0.001"]:
-        failures.append("first 3-digit cell has the wrong successor set")
-    rng = random.Random(0)
-    for digits, starts in ((1, list(range(11))), (3, [0, 1000] + rng.sample(range(1, 1000), 6))):
-        for k in starts:
-            m = readout.Readout(digits, k)
-            for n in range(6):
-                rebuilt = set()
-                for j in readout.reach(m, n).members:
-                    rebuilt.update(readout.successors(readout.Readout(digits, j)).members)
-                if set(readout.reach(m, n + 1).members) != rebuilt:
-                    failures.append(f"d={digits} start {k}: reach recurrence failed at n={n}")
-    _report(6, not failures, "successor sets match the brute-force oracle; reach recurrence holds",
-            failures[0] if failures else "")
+    _report(6, "successor sets match the brute-force oracle; reach recurrence holds", _gate(checks.readout_checks))
 
 
 def test_criterion_7_limit_module():
-    failures = []
-    for j in range(1, 7):
-        w = dissipative.discontinuity_witness(Fraction(1, 10**j))
-        if w.gap != 1 or abs(w.x - w.x_alt) > w.eta:
-            failures.append(f"witness for eta 10^-{j} broken")
-    threshold = Fraction(1, 1000)
-    value = Fraction(9, 10)  # exact powers: sizes stay printable through n = 7
-    for n in range(8):
-        below = value < threshold
-        if below != (n >= 7):
-            failures.append(f"(9/10)^(2^{n}) on the wrong side of 1/1000")
-        value = value * value
-    # beyond exact comfort, one-sided bounds must agree with the verdict
-    eps = Fraction(1, 10**7)
-    if not dissipative.iterate_approx(Fraction(9, 10), 6, eps) > threshold:
-        failures.append("lower bound at date 6 fell below the threshold")
-    if not dissipative.iterate_approx(Fraction(9, 10), 7, eps) + eps < threshold:
-        failures.append("upper bound at date 7 not below the threshold")
-    _report(7, not failures, "discontinuity witnesses all gap 1; decay crosses 1/1000 at date 7",
-            failures[0] if failures else "")
+    _report(7, "discontinuity witnesses all gap 1; decay crosses 1/1000 at date 7", _gate(checks.dissipative_checks))
 
 
 def test_criterion_8_cli_golden_files():
@@ -211,7 +80,6 @@ def test_criterion_8_cli_golden_files():
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(list(argv))
-        if code != 0 or out.getvalue().encode() != (GOLDEN / golden).read_bytes():
+        if code != 0 or err.getvalue() or out.getvalue().encode() != (GOLDEN / golden).read_bytes():
             failures.append(f"{' '.join(argv)} drifted from {golden}")
-    _report(8, not failures, "the three published CLI examples reproduce byte-identically",
-            failures[0] if failures else "")
+    _report(8, "the three published CLI examples reproduce byte-identically", failures)

@@ -115,8 +115,10 @@ def test_nine_tenths_drops_below_threshold_at_seven():
     threshold = Fraction(1, 1000)
     assert dissipative.first_date_below(Fraction(9, 10), threshold, 10) == 7
     # the approximation sees the same crossing
-    assert dissipative.iterate_approx(Fraction(9, 10), 6, Fraction(1, 10**7)) > threshold
+    eps = Fraction(1, 10**7)
+    assert dissipative.iterate_approx(Fraction(9, 10), 6, eps) > threshold
     assert dissipative.iterate_approx(Fraction(9, 10), 7, threshold) <= threshold
+    assert dissipative.iterate_approx(Fraction(9, 10), 7, eps) + eps < threshold
 
 
 def test_first_date_below_edges():

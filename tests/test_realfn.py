@@ -58,6 +58,7 @@ def test_check_modulus_is_deterministic():
 def test_identity_rule_certified():
     report = check_modulus(identity_on(UNIT), lambda q: q, 300, seed=3)
     assert report.ok, report.failures[0]
+    assert report.trials == 300
 
 
 def test_interval_basics():
