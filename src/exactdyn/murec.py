@@ -36,9 +36,10 @@ Terms can be read from text, one term per file::
 
 with ``#`` starting a line comment; whitespace is insignificant and the
 three leaf forms may optionally be parenthesized.  Within one parse,
-leaves are shared: each distinct leaf is built once.  A small corpus of
-classic programs (addition, multiplication, predecessor, truncated
-subtraction, sign) ships with the package.
+leaves are shared: each distinct leaf is built once.  A term compares,
+hashes, prints and pickles as its canonical text, at any depth.  A small
+corpus of classic programs (addition, multiplication, predecessor,
+truncated subtraction, sign) ships with the package.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ RecFn = Union["Proj", "Zero", "Succ", "Comp", "PrimRec", "Mu"]
 # one-item list [fuel remaining] of the current evaluation.  ``_cost`` is
 # the fuel a term is sure to spend once it starts; whoever starts the term
 # charges it first, so a closure touches the budget only before a later
-# recursion step or minimization probe.  A node computes its cost when it
-# is built, and on first evaluation its closure and its ``Form``: (i, c)
-# for args[i] + c, (None, c) for the constant c, None when it holds a loop.
+# recursion step or minimization probe.  A node computes its arity, its
+# cost and its ``Form`` when it is built: (i, c) for args[i] + c, (None, c)
+# for the constant c, None when it holds a loop; its closure comes on
+# first evaluation.
 Run = Callable[[tuple[int, ...], list[int]], int]
 Form = tuple[int | None, int] | None
 
@@ -125,16 +127,28 @@ def _compile_mu(body: RecFn) -> Run:
     return run
 
 
-@dataclass(frozen=True)
 class _Term:
-    _form: Form = field(init=False, repr=False, compare=False)
-    _run: Run | None = field(default=None, init=False, repr=False, compare=False)
+    """A node, whose identity is its canonical program text; see ``format_program``."""
 
-    def __getstate__(self) -> dict:  # no closure: a copy compiles again on first evaluation
-        return {name: v for name, v in vars(self).items() if name != "_run"}
+    _run: Run | None = None
+    _form: Form = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Term):
+            return NotImplemented
+        return self is other or format_program(self) == format_program(other)
+
+    def __hash__(self) -> int:
+        return hash(format_program(self))
+
+    def __repr__(self) -> str:
+        return f"parse_program({format_program(self)!r})"
+
+    def __reduce__(self) -> tuple:  # no closure: a copy compiles again on first evaluation
+        return parse_program, (format_program(self),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Proj(_Term):
     """x_1, ..., x_p -> x_i (1-based index)."""
 
@@ -145,9 +159,11 @@ class Proj(_Term):
     def __post_init__(self) -> None:
         if self.p < 1 or not 1 <= self.i <= self.p:
             raise IllFormedError(f"proj {self.p} {self.i}: index out of range")
+        object.__setattr__(self, "_arity", self.p)
+        object.__setattr__(self, "_form", (self.i - 1, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Zero(_Term):
     """x_1, ..., x_p -> 0; p = 0 gives the zero constant."""
 
@@ -157,62 +173,67 @@ class Zero(_Term):
     def __post_init__(self) -> None:
         if self.p < 0:
             raise IllFormedError(f"zero {self.p}: negative arity")
+        object.__setattr__(self, "_arity", self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Succ(_Term):
     """x -> x + 1."""
 
-    _cost, _form = 1, (0, 1)
+    _arity, _cost, _form = 1, 1, (0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Comp(_Term):
     """x -> outer(inner_1(x), ..., inner_q(x)); arity is the inners' common arity."""
 
     outer: RecFn
     inner: tuple[RecFn, ...]
-    _arity: int = field(init=False, repr=False, compare=False)
-    _cost: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inner", tuple(self.inner))
-        if not self.inner:
+        outer, inner = self.outer, tuple(self.inner)
+        if not inner:
             raise IllFormedError("comp needs at least one inner term")
-        outer_arity = arity(self.outer)
-        if outer_arity != len(self.inner):
-            raise IllFormedError(f"comp: outer arity {outer_arity} != {len(self.inner)} inner terms")
-        arities = set(map(arity, self.inner))
+        outer_arity = arity(outer)
+        if outer_arity != len(inner):
+            raise IllFormedError(f"comp: outer arity {outer_arity} != {len(inner)} inner terms")
+        arities = set(map(arity, inner))
         if len(arities) != 1:
             raise IllFormedError(f"comp: inner terms disagree on arity: {sorted(arities)}")
+        cost, form = 1 + outer._cost, outer._form
+        for g in inner:
+            cost += g._cost
+            if g._form is None:  # loop-free only when every part is
+                form = None
+        if form is not None and form[0] is not None:  # the outer part adds c to part i's value
+            j, d = inner[form[0]]._form
+            form = (j, d + form[1])
+        object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "_arity", arities.pop())
-        object.__setattr__(self, "_cost", 1 + self.outer._cost + sum([g._cost for g in self.inner]))
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_cost", cost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PrimRec(_Term):
     """h(x, 0) = base(x); h(x, y+1) = step(x, y, h(x, y))."""
 
     base: RecFn
     step: RecFn
-    _arity: int = field(init=False, repr=False, compare=False)
-    _cost: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if arity(self.step) != arity(self.base) + 2:
-            raise IllFormedError(
-                f"primrec: step arity {arity(self.step)} != base arity {arity(self.base)} + 2"
-            )
-        object.__setattr__(self, "_arity", arity(self.base) + 1)
+        k = arity(self.base)
+        if arity(self.step) != k + 2:
+            raise IllFormedError(f"primrec: step arity {arity(self.step)} != base arity {k} + 2")
+        object.__setattr__(self, "_arity", k + 1)
         object.__setattr__(self, "_cost", 1 + self.base._cost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mu(_Term):
     """x -> least y with body(x, y) = 0, all smaller y giving nonzero."""
 
     body: RecFn
-    _arity: int = field(init=False, repr=False, compare=False)
     _cost = 1
 
     def __post_init__(self) -> None:
@@ -222,18 +243,10 @@ class Mu(_Term):
 
 
 def arity(term: RecFn) -> int:
-    """Number of arguments the denoted partial function takes.
-
-    Comp, PrimRec and Mu compute theirs once, when constructed.
-    """
-    t = type(term)
-    if t is Proj or t is Zero:
-        return term.p
-    if t is Succ:
-        return 1
-    if t is Comp or t is PrimRec or t is Mu:
-        return term._arity
-    raise IllFormedError(f"not a term: {term!r}")
+    """Number of arguments the denoted partial function takes, fixed when the term is built."""
+    if not isinstance(term, _Term):
+        raise IllFormedError(f"not a term: {term!r}")
+    return term._arity
 
 
 def _children(term: RecFn) -> tuple[RecFn, ...]:
@@ -254,18 +267,6 @@ _COMPILERS: dict[type, Callable[..., Run]] = {
 }
 
 
-def _normal_form(node: RecFn) -> Form:  # from its parts' forms
-    if type(node) is Proj:
-        return (node.i - 1, 0)
-    if type(node) is not Comp:
-        return None
-    inner = [g._form for g in node.inner]
-    if None in inner or node.outer._form is None:
-        return None
-    i, c = node.outer._form
-    return (None, c) if i is None else (inner[i][0], inner[i][1] + c)
-
-
 def _closure(node: RecFn) -> Run:
     if node._form is None:
         return _COMPILERS[type(node)](node)
@@ -274,26 +275,21 @@ def _closure(node: RecFn) -> Run:
 
 
 def _compile(term: RecFn) -> Run:
-    """Find each node's form, then give the term, and each part a loop below it runs, a closure.
+    """Give the term, and each part a loop below it runs, a closure.
 
-    Both passes go children first on an explicit stack, so no depth reaches
-    the recursion limit; a loop-free node's parts never run, so get no closure.
+    It goes children first on an explicit stack, so no depth reaches the
+    recursion limit; a loop-free node's parts never run, so get no closure.
     """
-    for parts, missing, name, make in (
-        (_children, lambda node: not hasattr(node, "_form"), "_form", _normal_form),
-        (lambda node: () if node._form else _children(node),
-         lambda node: node._run is None, "_run", _closure),
-    ):
-        todo = [term]
-        while todo:
-            node = todo[-1]
-            waiting = [part for part in parts(node) if missing(part)]
-            if waiting:
-                todo += waiting
-                continue
-            todo.pop()
-            if missing(node):  # a shared node can wait on the stack twice
-                object.__setattr__(node, name, make(node))
+    todo = [term]
+    while todo:
+        node = todo[-1]
+        waiting = [] if node._form else [part for part in _children(node) if part._run is None]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        if node._run is None:  # a shared node can wait on the stack twice
+            object.__setattr__(node, "_run", _closure(node))
     return term._run
 
 

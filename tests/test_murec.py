@@ -1,3 +1,4 @@
+import copy
 import os
 import pickle
 import random
@@ -25,14 +26,6 @@ def test_arity_examples():
     assert arity(Proj(5, 2)) == 5
     assert arity(ADD) == 2
     assert arity(Mu(Proj(2, 2))) == 1
-
-
-def test_arity_of_a_deep_chain():
-    # built bottom-up, so only the constructors' arity bookkeeping is exercised
-    term = Proj(1, 1)
-    for _ in range(5000):
-        term = Comp(Succ(), (term,))
-    assert arity(term) == 1
 
 
 @pytest.mark.parametrize(
@@ -168,9 +161,11 @@ def test_loop_free_terms_have_the_reference_value_as_their_normal_form():
         n = rng.randrange(4)
         term = _random_term(rng, rng.randrange(1, 7), n, loops=False)
         args = tuple(rng.randrange(100) for _ in range(n))
-        murec._compile(term)
         i, c = term._form
         assert (c if i is None else args[i] + c) == _reference(term, args, FUEL)[0].value, murec.format_program(term)
+    # an outer part still runs every inner one, so a loop below any of them leaves the composition without a form
+    for held in (Comp(Zero(1), (DIVERGENT,)), Comp(Proj(2, 1), (Proj(1, 1), DIVERGENT))):
+        assert held._form is None and evaluate(held, (0,), 10**3) == Diverged(10**3)
 
 
 # a loop-free step over (x1, x2, k, acc) for each column of the closed form, with c = 0 and c > 0
@@ -225,11 +220,6 @@ def _looped_chain(depth: int) -> RecFn:
     return looped
 
 
-def test_deep_chains_evaluate_without_recursion_error():
-    assert evaluate(_comp_chain(300), (4,), FUEL) == Value(304)
-    assert evaluate(_looped_chain(300), (4,), FUEL) == Value(0)
-
-
 def test_depth_limits_at_the_default_recursion_limit():
     # a fresh interpreter, so that no test runner frames sit below evaluate
     probe = (
@@ -268,6 +258,35 @@ def test_terms_pickle_before_and_after_evaluation():
         for copy in (before, after):
             got = evaluate(copy, args, FUEL)
             assert (got, got.fuel_spent) == (outcome, outcome.fuel_spent)
+
+
+@pytest.mark.parametrize("depth", [250, 1000, 100_000])
+@pytest.mark.parametrize("chain", [_comp_chain, _looped_chain])
+def test_deep_terms_compare_hash_print_and_copy_as_their_text(chain, depth):
+    term = chain(depth)  # built bottom-up, through each constructor's bookkeeping
+    shown, digest = repr(term), hash(term)
+    # repr reads back through parse_program, as unpickling does
+    assert arity(term) == 1 and shown == f"parse_program({murec.format_program(term)!r})"
+    for clone in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+        assert clone is not term and type(clone) is type(term)
+        assert clone == term and hash(clone) == digest and repr(clone) == shown
+
+
+def test_terms_are_equal_exactly_when_their_text_is():
+    terms = [murec.builtin_program(name) for name in murec.BUILTIN_PROGRAMS]
+    for term in terms + [DIVERGENT, Mu(Comp(ADD, (Proj(2, 1), Proj(2, 2)))), Zero(0)]:
+        twin = murec.parse_program(murec.format_program(term))
+        assert twin == term and hash(twin) == hash(term) and len({term, twin}) == 1
+    for term, other in (
+        (ADD, PrimRec(Proj(1, 1), Comp(Succ(), (Proj(3, 2),)))),  # one numeral
+        (Zero(0), Zero(1)),
+        (Succ(), Proj(1, 1)),  # one head
+        (DIVERGENT, Mu(Comp(Zero(1), (Proj(2, 2),)))),
+        (Comp(Proj(2, 1), (Proj(1, 1), Zero(1))), Comp(Proj(2, 1), (Zero(1), Proj(1, 1)))),  # one part's order
+        (_comp_chain(1000), _comp_chain(999)),
+        (Succ(), "succ"),
+    ):
+        assert term != other and not term == other
 
 
 # --- program text format ---
@@ -320,13 +339,6 @@ def test_parse_errors(bad):
 def test_parse_surfaces_ill_formed_terms():
     with pytest.raises(IllFormedError):
         murec.parse_program("(comp succ proj 2 1 proj 2 2)")
-
-
-def test_format_parse_round_trip():
-    terms = [murec.builtin_program(name) for name in murec.BUILTIN_PROGRAMS]
-    terms += [DIVERGENT, Mu(Comp(ADD, (Proj(2, 1), Proj(2, 2)))), Zero(0)]
-    for term in terms:
-        assert murec.parse_program(murec.format_program(term)) == term
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
