@@ -14,10 +14,11 @@ Exit codes: 0 ok, 1 usage error, 2 domain error (also a failing
 ``check``), 3 fuel exhausted (also a ``check`` that ran out of fuel
 before it could decide), 4 invalid code.  An output that would pass
 ``OUTPUT_BOUND`` rows or readouts is a usage error, refused before any
-row is built: ``measured-reach`` checks its run's length, and a run
-known to be full (``readout.settling_steps``) before it is computed,
-``grid-sim`` and ``grid-table`` resolution + 1, ``baker-orbit`` steps + 1, and
-``baker-approx``, whose exact accuracy grows by a bit a step, its steps.
+row is built: ``measured-reach`` checks ``readout.min_reach_count``, a
+proven lower bound on its run's length, before the run is computed and
+the run's exact length after; ``grid-sim`` and ``grid-table`` check
+resolution + 1, ``baker-orbit`` steps + 1, and ``baker-approx``, whose
+exact accuracy grows by a bit a step, its steps.
 ``--decimals`` past ``DECIMALS_BOUND`` digits is a usage error too, also
 refused before any work, and so is a ``--d`` past ``DIGITS_BOUND``,
 refused before the readout is parsed.  So an argv asks for at most
@@ -112,9 +113,10 @@ def _encoding_arg(text: str) -> Encoding:
         ) from None
 
 
-def _require_output_bound(count: int, what: str) -> None:
+def _require_output_bound(count: int, what: str, at_least: bool = False) -> None:
     if count > OUTPUT_BOUND:
-        raise _UsageError(f"{count} {what} exceed the output bound of {OUTPUT_BOUND}")
+        count_text = f"at least {count}" if at_least else str(count)
+        raise _UsageError(f"{count_text} {what} exceed the output bound of {OUTPUT_BOUND}")
 
 
 def _int_arg(text: str) -> int:
@@ -348,8 +350,9 @@ def _cmd_measured_reach(ns: argparse.Namespace, res: CommandResult) -> None:
     m = readout.parse_readout(ns.readout, _device_digits(ns))
     res.payload["readout"] = m.text
     res.payload["steps"] = ns.steps
-    if ns.steps >= readout.settling_steps(m.digits):
-        _require_output_bound(10**m.digits + 1, "readouts")
+    least = readout.min_reach_count(m.digits, ns.steps)
+    # only the full run's bound is its exact length
+    _require_output_bound(least, "readouts", at_least=least <= 10**m.digits)
     run = readout.reach(m, ns.steps)
     _require_output_bound(run.count, "readouts")
     res.payload["reachable"] = ",".join(run.texts())

@@ -15,9 +15,10 @@ is why the endpoints are bookkept instead of sampled.
 
 Every successor set, and every set of readouts reachable in n steps, is
 one run of consecutive readouts, so ``SuccessorSet`` holds just the run's
-two ends.  ``reach`` steps the run until it equals its own image, which
-happens within ``settling_steps(d)`` steps; n may be astronomically
-large.
+two ends.  Every run is the full run 0..10^d from ``settling_steps(d)``
+steps on, so ``reach`` answers such step counts at once, however large,
+and steps the run only below that.  ``min_reach_count`` bounds a run's
+length from below without computing it.
 """
 
 from __future__ import annotations
@@ -233,8 +234,33 @@ def relation_table(digits: int) -> list[tuple[int, SuccessorSet]]:
 
 
 def settling_steps(digits: int) -> int:
-    """Steps after which every run is the full run 0..10^d; ``reach`` proves it."""
+    """Steps from which every run is the full run 0..10^d; ``reach`` proves it."""
     return (10**digits).bit_length() + 1
+
+
+def min_reach_count(digits: int, n: int) -> int:
+    """A lower bound on ``reach(m, n).count`` that holds for every start m.
+
+    From ``settling_steps(d)`` steps on every run is full, 10^d + 1
+    readouts.  Below that the bound is 2^(n-2), or 1 when n < 2.  A run
+    holds the readouts of the exact image T^n(cell): the relation
+    contains every exact step, so by induction the cells of the n-step
+    run cover T^n(cell).  For a cell of width 1/10^d, 2^n·cell is an
+    interval of length L = 2^n/10^d.  dist(., 2Z) has slope +-1 and turns
+    at the integers: with no turn inside, the image has length L; with
+    one, its longer side keeps at least L/2; with two, the image is all
+    of [0,1].  So T^n(cell) has length at least min(1, 2^(n-1)/10^d).
+    Below the settling step 2^(n-1) <= 2^(bit_length(10^d) - 1) <= 10^d,
+    so the image has length at least 2^(n-1)/10^d and meets at least
+    2^(n-1) cells of width 1/10^d.  The top cell {1} loses one step,
+    since it first goes to cell 0, which leaves 2^(n-2) (and one readout
+    for n < 2).  So the bound never exceeds 10^d / 2 below the settling
+    step.  Comparing n with the settling step first keeps 2^n from being
+    built for an astronomical n.
+    """
+    if n >= settling_steps(digits):
+        return 10**digits + 1
+    return 1 if n < 2 else 2 ** (n - 2)
 
 
 def reach(m: Readout, n: int) -> SuccessorSet:
@@ -247,18 +273,23 @@ def reach(m: Readout, n: int) -> SuccessorSet:
     taken in the run's two end cells or in cell 10^d/2, which holds 1/2:
     the next run is bounded by the successors of those cells alone.
 
-    Runs settle on the full run 0..10^d within ``settling_steps(d)``
-    steps.  A measured run holds the readouts of the exact image
-    T^n(cell), and T^n(x) = dist(2^n x, 2Z) stretches a cell of width
-    1/10^d over a half-open interval of length 2^n/10^d.  Once that is
-    at least 2 it spans a period of dist(., 2Z), so T^n(cell) = [0,1]
-    and the run is full.  The top cell {1} steps to cell 0 = [0, 1/10^d),
-    which then needs only 2^(n-1) > 10^d.  The full run is its own image,
-    so the loop stops at the first run equal to its image, long before
-    an astronomical n.
+    From ``settling_steps(d)`` steps on the run is the full run 0..10^d,
+    returned at once; only shorter step counts step the run.  A measured
+    run holds the readouts of the exact image T^n(cell) (see
+    ``min_reach_count``), and T^n(x) = dist(2^n x, 2Z) stretches a cell
+    of width 1/10^d over a half-open interval of length 2^n/10^d.  Once
+    that is at least 2 it spans a period of dist(., 2Z), so
+    T^n(cell) = [0,1] and the run is full.  The top cell {1} steps to
+    cell 0 = [0, 1/10^d), which 2^(n-1) stretches to [0, 2^(n-1)/10^d),
+    and dist(., 2Z) folds that onto all of [0,1] once 2^(n-1) > 10^d.
+    From n = settling_steps(d) on both hold, since there
+    2^(n-1) >= 2^bit_length(10^d) > 10^d.  Below that, stepping stops
+    early at a run equal to its own image.
     """
     if n < 0:
         raise InvalidStateError("step count must be non-negative")
+    if n >= settling_steps(m.digits):
+        return SuccessorSet(m.digits, 0, 10**m.digits)
     half = 10**m.digits // 2
     lo = hi = m.index
     for _ in range(n):

@@ -257,6 +257,53 @@ def test_measured_reach_astronomical_steps():
     assert code == 0 and out.count(",") == 10**6
 
 
+def _usage_error(fmt: str, message: str) -> tuple[int, str, str]:
+    if fmt == "plain":
+        return 1, "", f"error: {message}\n"
+    return 1, json.dumps({"status": "usage_error", "message": message, "payload": {}}, indent=2) + "\n", ""
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize(
+    "digits, steps, count",
+    [
+        (1000, 3321, f"at least {2**3319}"),
+        (7, 22, "at least 1048576"),
+        (7, 25, "10000001"),  # settled: the full run's exact length
+        (1000, 10**9, str(10**1000 + 1)),
+    ],
+    ids=["d1000-unsettled", "d7-unsettled", "d7-settled", "d1000-settled"],
+)
+def test_runs_past_the_lower_bound_are_refused_before_reach(monkeypatch, fmt, digits, steps, count):
+    def unreachable(m, n):
+        raise AssertionError("reach ran")
+
+    monkeypatch.setattr(readout, "reach", unreachable)
+    argv = ("measured-reach", "--d", str(digits), "--readout", "0." + "0" * digits, "--steps", str(steps))
+    message = f"{count} readouts exceed the output bound of {cli.OUTPUT_BOUND}"
+    assert run_cli("--format", fmt, *argv) == _usage_error(fmt, message)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+def test_runs_inside_the_lower_bound_are_computed_first(fmt):
+    # the lower bound 2^19 passes at d = 7, n = 21; the run itself holds 2^21 readouts
+    argv = ("measured-reach", "--d", "7", "--readout", "0.0000000", "--steps", "21")
+    message = f"2097152 readouts exceed the output bound of {cli.OUTPUT_BOUND}"
+    assert run_cli("--format", fmt, *argv) == _usage_error(fmt, message)
+    # the full run at d = 6 has exactly OUTPUT_BOUND readouts, printed byte for byte
+    payload = {
+        "readout": "0.000000",
+        "steps": 10**9,
+        "reachable": ",".join(f"{k // 10**6}.{k % 10**6:06d}" for k in range(10**6 + 1)),
+    }
+    if fmt == "plain":
+        want = "".join(f"{key}={value}\n" for key, value in payload.items())
+    else:
+        want = json.dumps({"status": "ok", "payload": payload}, indent=2) + "\n"
+    argv = ("measured-reach", "--d", "6", "--readout", "0.000000", "--steps", str(10**9))
+    assert run_cli("--format", fmt, *argv) == (0, want, "")
+
+
 def test_measured_reach_rejects_negative_steps():
     code, out, err = run_cli("measured-reach", "--d", "3", "--readout", "0.000", "--steps", "-1")
     assert code == 2 and out == "" and "non-negative" in err

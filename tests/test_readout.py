@@ -10,6 +10,7 @@ from exactdyn.readout import (
     Span,
     SuccessorSet,
     measure,
+    min_reach_count,
     parse_readout,
     reach,
     relation_table,
@@ -118,15 +119,52 @@ def test_reach_rejects_negative_step_counts():
         reach(Readout(3, 0), -1)
 
 
+def _stepped_reach(m: Readout, n: int) -> SuccessorSet:
+    """Reference: step the run from m until n steps or its own image, with no settled shortcut."""
+    half = 10**m.digits // 2
+    lo = hi = m.index
+    for _ in range(n):
+        cells = (lo, hi, half) if lo <= half <= hi else (lo, hi)
+        runs = [successors(Readout(m.digits, k)) for k in cells]
+        image = min(r.lo for r in runs), max(r.hi for r in runs)
+        if image == (lo, hi):
+            break
+        lo, hi = image
+    return SuccessorSet(m.digits, lo, hi)
+
+
+def _reach_starts() -> list[tuple[int, list[int]]]:
+    """Every start at d <= 2; at d = 3 both ends, the cell of 1/2 and a seeded sample."""
+    sample = random.Random(9).sample(range(1, 1000), 60)
+    return [(1, list(range(11))), (2, list(range(101))), (3, [0, 500, 1000, *sample])]
+
+
 def test_reach_settles_on_the_full_run():
-    # every start at d <= 2, the top cell and a seeded sample at d = 3; the
-    # top cell {1} steps to cell 0 first, so it needs every one of the steps
-    rng = random.Random(9)
-    for digits, starts in ((1, range(11)), (2, range(101)), (3, [1000, *rng.sample(range(1000), 60)])):
+    # the same run as plain stepping up to two steps past the settling step and
+    # at astronomical n; the top cell {1} steps to cell 0 first, so it needs every step
+    for digits, starts in _reach_starts():
         top, settle = 10**digits, settling_steps(digits)
         for k in starts:
-            assert reach(Readout(digits, k), settle) == SuccessorSet(digits, 0, top)
+            m = Readout(digits, k)
+            for n in (*range(settle + 3), 10**9, 10**100):
+                assert reach(m, n) == _stepped_reach(m, n), (digits, k, n)
+            assert reach(m, settle) == SuccessorSet(digits, 0, top)
         assert reach(Readout(digits, top), settle - 1) != SuccessorSet(digits, 0, top)
+
+
+def test_min_reach_count_bounds_every_run():
+    for digits, starts in _reach_starts():
+        settle = settling_steps(digits)
+        bounds = [min_reach_count(digits, n) for n in range(settle)]
+        for k in starts:
+            counts = [reach(Readout(digits, k), n).count for n in range(settle)]
+            assert all(c >= b for c, b in zip(counts, bounds)), (digits, k)
+    for digits in (1, 2, 3, 7, 20, 1000):
+        full, settle = 10**digits + 1, settling_steps(digits)
+        assert all(min_reach_count(digits, n) <= full for n in range(settle + 3))
+        assert min_reach_count(digits, settle) == full
+    # compared with the settling step first: 2^(n-2) is never built here
+    assert min_reach_count(7, 10**18) == 10**7 + 1
 
 
 def _readout_texts(run: SuccessorSet) -> list[str]:
