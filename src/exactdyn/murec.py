@@ -3,7 +3,9 @@
 A term is a tree over six constructors: projection, constant zero,
 successor, composition, primitive recursion, and unbounded minimization.
 Each well-formed term has an arity p and denotes a partial function from
-p-tuples of naturals to naturals.
+p-tuples of naturals to naturals.  The constructors, ``Value`` and
+``Diverged`` are plain immutable classes: each sets its fields once when
+built, and assigning or deleting one raises AttributeError.
 
 Evaluation is total at the interface: it carries a fuel budget, charges
 one unit per constructor application, and answers ``Value`` with the
@@ -40,19 +42,23 @@ leaves are shared: each distinct leaf is built once.  A term compares,
 hashes, prints and pickles as its canonical text, at any depth.  A small
 corpus of classic programs (addition, multiplication, predecessor,
 truncated subtraction, sign) ships with the package.
+
+``conjugate_evaluate`` runs a term on rationals through the numbering of
+``encoding``, which it loads on its first call, so loading this module
+and its corpus needs neither ``encoding`` nor ``fractions``.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from . import BUILTIN_PROGRAMS
-from .encoding import Encoding, decode_rational, encode_rational
 from .errors import ArityMismatchError, IllFormedError, ProgramParseError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 RecFn = Union["Proj", "Zero", "Succ", "Comp", "PrimRec", "Mu"]
 
@@ -127,7 +133,17 @@ def _compile_mu(body: RecFn) -> Run:
     return run
 
 
-class _Term:
+class _Frozen:
+    """Fields are set once, in ``__init__``; assigning or deleting one raises AttributeError."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Term(_Frozen):
     """A node, whose identity is its canonical program text; see ``format_program``."""
 
     _run: Run | None = None
@@ -148,7 +164,6 @@ class _Term:
         return parse_program, (format_program(self),)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Proj(_Term):
     """x_1, ..., x_p -> x_i (1-based index)."""
 
@@ -156,42 +171,38 @@ class Proj(_Term):
     i: int
     _cost = 1
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or not 1 <= self.i <= self.p:
-            raise IllFormedError(f"proj {self.p} {self.i}: index out of range")
-        object.__setattr__(self, "_arity", self.p)
-        object.__setattr__(self, "_form", (self.i - 1, 0))
+    def __init__(self, p: int, i: int) -> None:
+        if p < 1 or not 1 <= i <= p:
+            raise IllFormedError(f"proj {p} {i}: index out of range")
+        self.__dict__.update(p=p, i=i, _arity=p, _form=(i - 1, 0))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Zero(_Term):
     """x_1, ..., x_p -> 0; p = 0 gives the zero constant."""
 
     p: int
     _cost, _form = 1, (None, 0)
 
-    def __post_init__(self) -> None:
-        if self.p < 0:
-            raise IllFormedError(f"zero {self.p}: negative arity")
-        object.__setattr__(self, "_arity", self.p)
+    def __init__(self, p: int) -> None:
+        if p < 0:
+            raise IllFormedError(f"zero {p}: negative arity")
+        self.__dict__.update(p=p, _arity=p)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Succ(_Term):
     """x -> x + 1."""
 
     _arity, _cost, _form = 1, 1, (0, 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Comp(_Term):
     """x -> outer(inner_1(x), ..., inner_q(x)); arity is the inners' common arity."""
 
     outer: RecFn
     inner: tuple[RecFn, ...]
 
-    def __post_init__(self) -> None:
-        outer, inner = self.outer, tuple(self.inner)
+    def __init__(self, outer: RecFn, inner: tuple[RecFn, ...]) -> None:
+        inner = tuple(inner)
         if not inner:
             raise IllFormedError("comp needs at least one inner term")
         outer_arity = arity(outer)
@@ -208,38 +219,32 @@ class Comp(_Term):
         if form is not None and form[0] is not None:  # the outer part adds c to part i's value
             j, d = inner[form[0]]._form
             form = (j, d + form[1])
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "_arity", arities.pop())
-        object.__setattr__(self, "_form", form)
-        object.__setattr__(self, "_cost", cost)
+        self.__dict__.update(outer=outer, inner=inner, _arity=arities.pop(), _form=form, _cost=cost)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PrimRec(_Term):
     """h(x, 0) = base(x); h(x, y+1) = step(x, y, h(x, y))."""
 
     base: RecFn
     step: RecFn
 
-    def __post_init__(self) -> None:
-        k = arity(self.base)
-        if arity(self.step) != k + 2:
-            raise IllFormedError(f"primrec: step arity {arity(self.step)} != base arity {k} + 2")
-        object.__setattr__(self, "_arity", k + 1)
-        object.__setattr__(self, "_cost", 1 + self.base._cost)
+    def __init__(self, base: RecFn, step: RecFn) -> None:
+        k = arity(base)
+        if arity(step) != k + 2:
+            raise IllFormedError(f"primrec: step arity {arity(step)} != base arity {k} + 2")
+        self.__dict__.update(base=base, step=step, _arity=k + 1, _cost=1 + base._cost)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Mu(_Term):
     """x -> least y with body(x, y) = 0, all smaller y giving nonzero."""
 
     body: RecFn
     _cost = 1
 
-    def __post_init__(self) -> None:
-        if arity(self.body) < 1:
+    def __init__(self, body: RecFn) -> None:
+        if arity(body) < 1:
             raise IllFormedError("mu: body must have arity >= 1")
-        object.__setattr__(self, "_arity", arity(self.body) - 1)
+        self.__dict__.update(body=body, _arity=arity(body) - 1)
 
 
 def arity(term: RecFn) -> int:
@@ -293,15 +298,41 @@ def _compile(term: RecFn) -> Run:
     return term._run
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(_Frozen):
+    """A finished run: its value, and the fuel it charged, which equality and hashing ignore."""
+
     value: int
-    fuel_spent: int = field(default=0, compare=False)  # what the run charged; not part of equality
-
-
-@dataclass(frozen=True)
-class Diverged:
     fuel_spent: int
+
+    def __init__(self, value: int, fuel_spent: int = 0) -> None:
+        self.__dict__.update(value=value, fuel_spent=fuel_spent)
+
+    def __eq__(self, other: object) -> bool:
+        return self.value == other.value if type(other) is Value else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"Value(value={self.value!r}, fuel_spent={self.fuel_spent!r})"
+
+
+class Diverged(_Frozen):
+    """A run whose budget ran out: the whole budget counts as spent."""
+
+    fuel_spent: int
+
+    def __init__(self, fuel_spent: int) -> None:
+        self.__dict__.update(fuel_spent=fuel_spent)
+
+    def __eq__(self, other: object) -> bool:
+        return self.fuel_spent == other.fuel_spent if type(other) is Diverged else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fuel_spent,))
+
+    def __repr__(self) -> str:
+        return f"Diverged(fuel_spent={self.fuel_spent!r})"
 
 
 EvalOutcome = Union[Value, Diverged]
@@ -346,6 +377,8 @@ def conjugate_evaluate(
     resulting natural is decoded; NotACodeError is raised when the result
     is not the code of any rational.  Diverged propagates as a value.
     """
+    from .encoding import Encoding, decode_rational, encode_rational  # loaded on the first call only
+
     codes = tuple(encode_rational(q, Encoding.CANONICAL) for q in args)
     outcome = evaluate(term, codes, fuel)
     if isinstance(outcome, Diverged):

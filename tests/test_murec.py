@@ -50,6 +50,36 @@ def test_eval_examples():
     assert evaluate(ADD, (3, 4), FUEL) == Value(7)
     assert evaluate(Mu(Proj(2, 2)), (5,), FUEL) == Value(0)
     assert evaluate(DIVERGENT, (0,), 10**3) == Diverged(10**3)
+    # the fuel spent prints, but equality and hashing ignore it
+    assert repr(evaluate(ADD, (3, 4), FUEL)) == "Value(value=7, fuel_spent=14)"
+    assert repr(Value(7, 3)) == "Value(value=7, fuel_spent=3)" and repr(Diverged(5)) == "Diverged(fuel_spent=5)"
+    assert Value(7, 3) == Value(7, 9) and hash(Value(7, 3)) == hash(Value(7, 9))
+    assert Value(0) != Diverged(0) and Value(7) != Value(8) and Diverged(5) != Diverged(6)
+
+
+@pytest.mark.parametrize(
+    "built, name",
+    [
+        (Proj(2, 1), "i"),
+        (Zero(3), "p"),
+        (Succ(), "_arity"),
+        (Comp(Succ(), (Proj(1, 1),)), "inner"),
+        (ADD, "step"),
+        (DIVERGENT, "body"),
+        (Value(7, 3), "fuel_spent"),
+        (Diverged(5), "fuel_spent"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+)
+def test_fields_cannot_be_assigned_or_deleted(built, name):
+    shown = repr(built)
+    with pytest.raises(AttributeError):
+        setattr(built, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(built, name)
+    with pytest.raises(AttributeError):
+        built.extra = 0
+    assert repr(built) == shown
 
 
 def test_eval_arity_mismatch():
@@ -255,9 +285,27 @@ def test_terms_pickle_before_and_after_evaluation():
         outcome = evaluate(term, args, FUEL)
         after = pickle.loads(pickle.dumps(term))
         assert before == term == after
-        for copy in (before, after):
-            got = evaluate(copy, args, FUEL)
+        for clone in (before, after):
+            got = evaluate(clone, args, FUEL)
             assert (got, got.fuel_spent) == (outcome, outcome.fuel_spent)
+        for ended in (outcome, evaluate(term, args, 0)):  # a Value and a Diverged, with their fuel
+            for clone in (pickle.loads(pickle.dumps(ended)), copy.deepcopy(ended)):
+                assert clone is not ended and (type(clone), repr(clone)) == (type(ended), repr(ended))
+
+
+def test_loading_the_corpus_needs_neither_dataclasses_nor_the_numbering():
+    # a fresh interpreter, so that only what murec and its corpus load is counted
+    probe = (
+        "import sys; from exactdyn import murec; "
+        "[murec.builtin_program(name) for name in murec.BUILTIN_PROGRAMS]; "
+        "print([m for m in ('dataclasses', 'inspect', 'fractions', 'exactdyn.encoding') if m in sys.modules]); "
+        "from fractions import Fraction; "
+        "print(murec.conjugate_evaluate(murec.Proj(1, 1), (Fraction(-7, 9),), 10))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "[]\n-7/9\n"
 
 
 @pytest.mark.parametrize("depth", [250, 1000, 100_000])
