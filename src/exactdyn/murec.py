@@ -41,7 +41,8 @@ three leaf forms may optionally be parenthesized.  Within one parse,
 leaves are shared: each distinct leaf is built once.  A term compares,
 hashes, prints and pickles as its canonical text, at any depth.  A small
 corpus of classic programs (addition, multiplication, predecessor,
-truncated subtraction, sign) ships with the package.
+truncated subtraction, sign) ships with the package; ``builtin_program``
+reads it through this module's loader, from a directory or a zip archive.
 
 ``conjugate_evaluate`` runs a term on rationals through the numbering of
 ``encoding``, which it loads on its first call, so loading this module
@@ -50,8 +51,8 @@ and its corpus needs neither ``encoding`` nor ``fractions``.
 
 from __future__ import annotations
 
+import os
 import sys
-from importlib import resources
 from typing import TYPE_CHECKING, Callable, Union
 
 from . import BUILTIN_PROGRAMS
@@ -506,5 +507,7 @@ def builtin_program(name: str) -> RecFn:
     """Load one of the shipped corpus programs by name."""
     if name not in BUILTIN_PROGRAMS:
         raise ProgramParseError(f"unknown builtin {name!r}; choose from {BUILTIN_PROGRAMS}")
-    text = resources.files(__package__).joinpath(f"programs/{name}.rec").read_text("utf-8")
-    return parse_program(text)
+    # through this module's own loader, which reads files and zip archives
+    # alike without importing ``importlib.resources``
+    path = os.path.join(os.path.dirname(__file__), "programs", f"{name}.rec")
+    return parse_program(__spec__.loader.get_data(path).decode("utf-8"))

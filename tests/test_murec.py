@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -293,18 +294,30 @@ def test_terms_pickle_before_and_after_evaluation():
                 assert clone is not ended and (type(clone), repr(clone)) == (type(ended), repr(ended))
 
 
-def test_loading_the_corpus_needs_neither_dataclasses_nor_the_numbering():
-    # a fresh interpreter, so that only what murec and its corpus load is counted
+def _package_as_zip(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    archive = tmp_path / "exactdyn.zip"
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in sorted((src / "exactdyn").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zipped.write(path, path.relative_to(src).as_posix())
+    return archive
+
+
+@pytest.mark.parametrize("install", ["source tree", "zip archive"])
+def test_loading_the_corpus_needs_neither_dataclasses_nor_the_numbering(install, tmp_path):
+    # a fresh interpreter without site, so that only what murec and its corpus load is counted
     probe = (
         "import sys; from exactdyn import murec; "
         "[murec.builtin_program(name) for name in murec.BUILTIN_PROGRAMS]; "
-        "print([m for m in ('dataclasses', 'inspect', 'fractions', 'exactdyn.encoding') if m in sys.modules]); "
+        "print([m for m in ('dataclasses', 'inspect', 'importlib.resources', 'fractions', 'exactdyn.encoding') "
+        "if m in sys.modules]); "
         "from fractions import Fraction; "
         "print(murec.conjugate_evaluate(murec.Proj(1, 1), (Fraction(-7, 9),), 10))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    where = Path(__file__).resolve().parents[1] / "src" if install == "source tree" else _package_as_zip(tmp_path)
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(where)})
     assert done.stdout == "[]\n-7/9\n"
 
 
