@@ -9,9 +9,7 @@ several, and the successor relation -- being finite -- is still entirely
 computable.
 """
 
-from fractions import Fraction
-
-from exactdyn import grid, readout
+from exactdyn import baker, grid, readout
 from exactdyn.rational import format_rational
 
 
@@ -33,7 +31,7 @@ def main() -> None:
     print("\n  witnesses: a concrete position behind each possibility")
     m = readout.parse_readout("0.000", 3)
     for target, x in readout.successor_witnesses(m).items():
-        image = readout.measure(Fraction(2) * x if x <= Fraction(1, 2) else 2 - 2 * x, 3)
+        image = readout.measure(baker.step(x), 3)
         print(f"    start at {format_rational(x)} -> reads {image.text} (target index {target})")
 
     print("\n== what the device may show n steps after 0.000 ==")

@@ -53,26 +53,28 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Union
 
 from . import BUILTIN_PROGRAMS
 from .errors import ArityMismatchError, IllFormedError, ProgramParseError
 
+TYPE_CHECKING = False  # type checkers read it as true; at run time no ``typing`` is loaded
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Callable
 
-RecFn = Union["Proj", "Zero", "Succ", "Comp", "PrimRec", "Mu"]
+    RecFn = Proj | Zero | Succ | Comp | PrimRec | Mu
+    EvalOutcome = Value | Diverged
 
-# A compiled term runs as ``_run(args, budget)``, where ``budget`` is the
-# one-item list [fuel remaining] of the current evaluation.  ``_cost`` is
-# the fuel a term is sure to spend once it starts; whoever starts the term
-# charges it first, so a closure touches the budget only before a later
-# recursion step or minimization probe.  A node computes its arity, its
-# cost and its ``Form`` when it is built: (i, c) for args[i] + c, (None, c)
-# for the constant c, None when it holds a loop; its closure comes on
-# first evaluation.
-Run = Callable[[tuple[int, ...], list[int]], int]
-Form = tuple[int | None, int] | None
+    # A compiled term runs as ``_run(args, budget)``, where ``budget`` is the
+    # one-item list [fuel remaining] of the current evaluation.  ``_cost`` is
+    # the fuel a term is sure to spend once it starts; whoever starts the term
+    # charges it first, so a closure touches the budget only before a later
+    # recursion step or minimization probe.  A node computes its arity, its
+    # cost and its ``Form`` when it is built: (i, c) for args[i] + c, (None, c)
+    # for the constant c, None when it holds a loop; its closure comes on
+    # first evaluation.
+    Run = Callable[[tuple[int, ...], list[int]], int]
+    Form = tuple[int | None, int] | None
 
 
 class _OutOfFuel(Exception):
@@ -336,9 +338,6 @@ class Diverged(_Frozen):
         return f"Diverged(fuel_spent={self.fuel_spent!r})"
 
 
-EvalOutcome = Union[Value, Diverged]
-
-
 def evaluate(term: RecFn, args: tuple[int, ...] | list[int], fuel: int) -> EvalOutcome:
     """Run a term on a tuple of naturals under a fuel budget.
 
@@ -371,7 +370,7 @@ def evaluate(term: RecFn, args: tuple[int, ...] | list[int], fuel: int) -> EvalO
 
 def conjugate_evaluate(
     term: RecFn, args: list[Fraction] | tuple[Fraction, ...], fuel: int
-) -> Union[Fraction, Diverged]:
+) -> Fraction | Diverged:
     """Run a term on rationals through the canonical numbering.
 
     Arguments are encoded, the term is evaluated on their codes, and the

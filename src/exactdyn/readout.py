@@ -155,9 +155,6 @@ class SuccessorSet:
     def texts(self) -> list[str]:
         return [fixed_point(k, self.digits) for k in range(self.lo, self.hi + 1)]
 
-    def __contains__(self, index: int) -> bool:
-        return self.lo <= index <= self.hi
-
     def __len__(self) -> int:
         """``count``; ``len()`` raises ``OverflowError`` past ``sys.maxsize``."""
         return self.count

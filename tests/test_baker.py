@@ -33,21 +33,19 @@ def test_iterate_examples():
     assert baker.iterate(x, 0) == x
     assert baker.iterate(Fraction(1, 48), 4) == Fraction(1, 3)
     assert baker.iterate(Fraction(1, 16), 4) == 1
+    with pytest.raises(DomainError):
+        baker.iterate(x, -1)
 
 
 def test_orbit_matches_iterate():
-    x = Fraction(1, 48)
-    points = baker.orbit(x, 6)
-    assert len(points) == 7
-    for k, p in enumerate(points):
-        assert p == baker.iterate(x, k)
     # every p/q with q <= 40, against repeated application of the rational step
     for x in {Fraction(p, q) for q in range(1, 41) for p in range(q + 1)}:
         n = 3 * x.denominator + 3
         points = baker.orbit(x, n)
+        assert len(points) == n + 1 and baker.orbit(x, 0) == [x]
         stepped = x
-        for k in range(n + 1):
-            assert points[k] == baker.iterate(x, k) == stepped
+        for k, p in enumerate(points):
+            assert p == baker.iterate(x, k) == stepped
             stepped = baker.step(stepped)
 
 
@@ -77,8 +75,6 @@ def test_real_fn_modulus_and_clamping():
 
 
 def test_witness_examples():
-    w = baker.sensitivity_witness(Fraction(1, 10), Fraction(1, 3), Fraction(1))
-    assert (w.start_a, w.start_b, w.steps) == (Fraction(1, 48), Fraction(1, 16), 4)
     w = baker.sensitivity_witness(Fraction(1, 100), Fraction(0), Fraction(1))
     assert (w.start_a, w.start_b, w.steps) == (Fraction(0), Fraction(1, 128), 7)
     assert w.start_gap == Fraction(1, 128) <= Fraction(1, 100)

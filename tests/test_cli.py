@@ -15,6 +15,8 @@ from exactdyn import baker, checks, cli, grid, readout
 from exactdyn.encoding import Encoding, encode_rational
 
 GOLDEN = Path(__file__).parent / "golden"
+FORMATS = ("plain", "structured")
+_EXIT_CODES = {"ok": 0, "usage_error": 1, "domain_error": 2, "diverged": 3, "not_a_code": 4}
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -22,6 +24,22 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def cli_output(fmt: str, status: str, payload: dict | None = None, rows: tuple[tuple[str, ...], ...] = (),
+               message: str = "") -> tuple[int, str, str]:
+    """The exact (exit code, stdout, stderr) that ``cli.main`` produces in format fmt.
+
+    Payload values are given as they print; an int prints as a JSON number in structured format.
+    """
+    payload = payload or {}
+    if fmt == "plain":
+        lines = [f"{key}={value}\n" for key, value in payload.items()] + ["\t".join(cells) + "\n" for cells in rows]
+        return _EXIT_CODES[status], "".join(lines), f"error: {message}\n" if message else ""
+    doc = {"status": status, **({"message": message} if message else {}), "payload": payload}
+    if rows:
+        doc["rows"] = rows
+    return _EXIT_CODES[status], json.dumps(doc, indent=2) + "\n", ""
 
 
 @pytest.mark.parametrize(
@@ -37,25 +55,10 @@ def test_golden_outputs(argv, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
-def test_output_is_deterministic():
-    first = run_cli("--seed", "0", "limit-demo")
-    second = run_cli("--seed", "0", "limit-demo")
-    assert first == second
-
-
 def test_exit_codes():
-    assert run_cli("encode", "--rational", "1/2")[0] == 0
     assert run_cli("no-such-command")[0] == 1
-    assert run_cli("encode")[0] == 1  # missing --rational
     assert run_cli("baker-step", "--x", "3/2")[0] == 2
-    assert run_cli("--fuel", "4", "murec-eval", "--builtin", "addition", "3", "4")[0] == 3
-    assert run_cli("decode", "--code", "3")[0] == 4
     assert run_cli("--fuel", "-3", "check")[0] == 1  # a usage error, not three failing checks
-
-
-def test_errors_go_to_stderr():
-    code, out, err = run_cli("decode", "--code", "3")
-    assert code == 4 and out == "" and "denominator" in err
 
 
 def test_encode_decode_translate_are_thin_adapters():
@@ -70,11 +73,11 @@ def test_encode_decode_translate_are_thin_adapters():
 
 
 def test_murec_eval_value_and_divergence():
-    code, out, _ = run_cli("murec-eval", "--builtin", "multiplication", "6", "7")
-    assert code == 0 and "value=42" in out
-    code, out, _ = run_cli("--fuel", "1000", "murec-eval", "--builtin", "addition", "0", "999")
-    assert code == 3
-    assert "outcome=diverged" in out and "fuel_spent=1000" in out
+    got = run_cli("murec-eval", "--builtin", "multiplication", "6", "7")
+    assert got == cli_output("plain", "ok", {"program": "multiplication", "args": "6,7", "value": 42})
+    got = run_cli("--fuel", "1000", "murec-eval", "--builtin", "addition", "0", "999")
+    payload = {"program": "addition", "args": "0,999", "outcome": "diverged", "fuel_spent": 1000}
+    assert got == cli_output("plain", "diverged", payload)
 
 
 def test_murec_eval_program_file(tmp_path):
@@ -118,28 +121,11 @@ def test_measured_commands_match_library():
     assert out.endswith("reachable=" + ",".join(want) + "\n")
 
 
-def test_limit_demo_contents():
-    code, out, _ = run_cli("limit-demo")
-    assert code == 0
-    assert "first_below_threshold=7" in out
-    witness_rows = [line for line in out.splitlines() if line.startswith("witness\t")]
-    assert len(witness_rows) == 6
-    for line in witness_rows:
-        assert line.split("\t")[-2] == "1"  # exact unit gap column
-
-
 def test_structured_format_is_json():
-    code, out, _ = run_cli("--format", "structured", "encode", "--rational", "1/2")
-    doc = json.loads(out)
-    assert doc == {"status": "ok", "payload": {"code": 12}}
-    code, out, _ = run_cli("--format", "structured", "grid-table", "--resolution", "1")
-    doc = json.loads(out)
-    assert doc["rows"] == [["0", "0"], ["1", "0"]]
-
-
-def test_decimals_column():
-    code, out, _ = run_cli("--decimals", "3", "baker-step", "--x", "1/3")
-    assert out == "value=2/3\nvalue_dec=0.666\n"
+    got = run_cli("--format", "structured", "encode", "--rational", "1/2")
+    assert got == cli_output("structured", "ok", {"code": 12})
+    got = run_cli("--format", "structured", "grid-table", "--resolution", "1")
+    assert got == cli_output("structured", "ok", {"resolution": 1}, (("0", "0"), ("1", "0")))
 
 
 def test_sensitivity_payload_equals_witness():
@@ -154,16 +140,17 @@ def test_sensitivity_payload_equals_witness():
 
 
 def test_structured_decimals_on_scalars():
-    code, out, _ = run_cli("--format", "structured", "--decimals", "2", "baker-step", "--x", "1/3")
-    doc = json.loads(out)
-    assert doc["payload"] == {"value": "2/3", "value_dec": "0.66"}
+    # a truncated decimal follows each rational scalar, as key_dec, in both formats
+    for fmt in FORMATS:
+        got = run_cli("--format", fmt, "--decimals", "3", "baker-step", "--x", "1/3")
+        assert got == cli_output(fmt, "ok", {"value": "2/3", "value_dec": "0.666"})
 
 
 def test_structured_errors_go_in_the_document():
-    code, out, _ = run_cli("--format", "structured", "decode", "--code", "3")
-    assert code == 4
-    doc = json.loads(out)
-    assert doc["status"] == "not_a_code" and "denominator" in doc["message"]
+    # a failure's message goes into the document in structured format and to stderr in plain
+    for fmt in FORMATS:
+        got = run_cli("--format", fmt, "decode", "--code", "3")
+        assert got == cli_output(fmt, "not_a_code", message="3: zero denominator")
 
 
 def test_deeply_nested_program_is_a_usage_error(tmp_path):
@@ -171,33 +158,27 @@ def test_deeply_nested_program_is_a_usage_error(tmp_path):
     depth = 5000
     path = tmp_path / "deep.rec"
     path.write_text("(mu (comp " * depth + "proj 1 1" + " proj 2 2))" * depth)
-    code, out, err = run_cli("murec-eval", "--program", str(path), "0")
-    assert code == 1 and "nested too deeply" in err
+    got = run_cli("murec-eval", "--program", str(path), "0")
+    assert got == cli_output("plain", "usage_error", message="program term is nested too deeply")
 
 
-@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_deep_loop_free_program_evaluates(tmp_path, fmt):
     depth = 5000
     path = tmp_path / "deep.rec"
     path.write_text("(comp succ " * depth + "proj 1 1" + ")" * depth)
-    code, out, err = run_cli("--format", fmt, "murec-eval", "--program", str(path), "0")
-    payload = {"program": str(path), "args": "0", "value": depth}
-    if fmt == "plain":
-        assert (code, out, err) == (0, "".join(f"{key}={value}\n" for key, value in payload.items()), "")
-    else:
-        assert (code, err) == (0, "") and json.loads(out) == {"status": "ok", "payload": payload}
+    got = run_cli("--format", fmt, "murec-eval", "--program", str(path), "0")
+    assert got == cli_output(fmt, "ok", {"program": str(path), "args": "0", "value": depth})
 
 
 def test_invalid_grid_and_readout_are_domain_errors():
     assert run_cli("grid-sim", "--resolution", "10", "--index", "11")[0] == 2
     assert run_cli("grid-sim", "--resolution", "0", "--index", "0")[0] == 2
     assert run_cli("grid-table", "--resolution", "-3")[0] == 2
-    assert run_cli("measured-succ", "--d", "3", "--readout", "0.0005")[0] == 2
-    assert run_cli("measured-succ", "--d", "3", "--readout", "nonsense")[0] == 2
 
 
 def test_readout_text_must_have_exactly_d_digits():
-    for text in ("x", "1/2", "5e-1", "0.5", "0.5000"):
+    for text in ("x", "nonsense", "1/2", "5e-1", "0.5", "0.5000", "0.0005"):
         code, out, err = run_cli("measured-succ", "--d", "3", "--readout", text)
         assert code == 2 and out == "" and "readout" in err
 
@@ -206,7 +187,7 @@ def test_negative_decimals_is_a_usage_error():
     assert run_cli("--decimals", "-1", "baker-step", "--x", "1/3")[0] == 1
 
 
-@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -223,47 +204,38 @@ def test_negative_decimals_is_a_usage_error():
 )
 def test_argv_numbers_are_ascii_decimal(argv, message, fmt):
     # Arabic-Indic digits, which a regex \d accepts, "_" separators, which int() accepts,
-    # and surrounding whitespace, which int() strips
-    assert run_cli("--format", fmt, *argv) == (1, "", f"error: {message}\n")
+    # and surrounding whitespace, which int() strips; argv errors render plain in either format
+    assert run_cli("--format", fmt, *argv) == cli_output("plain", "usage_error", message=message)
 
 
-def _assert_program_is_a_usage_error(path: Path, text: str, message: str, fmt: str) -> None:
+def _eval_program_text(tmp_path: Path, fmt: str, text: str) -> tuple[int, str, str]:
+    path = tmp_path / "id.rec"
     path.write_text(text, encoding="utf-8")
-    code, out, err = run_cli("--format", fmt, "murec-eval", "--program", str(path), "9")
-    if fmt == "plain":
-        assert (code, out, err) == (1, "", f"error: {message}\n")
-    else:
-        assert (code, err) == (1, "") and json.loads(out) == {"status": "usage_error", "message": message, "payload": {}}
+    return run_cli("--format", fmt, "murec-eval", "--program", str(path), "9")
 
 
-@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_program_numerals_are_ascii_decimal(tmp_path, fmt):
     # an Arabic-Indic one, which str.isdigit() accepts
     message = "expected a natural number, got '\u0661'"
-    _assert_program_is_a_usage_error(tmp_path / "id.rec", "proj \u0661 \u0661\n", message, fmt)
+    assert _eval_program_text(tmp_path, fmt, "proj \u0661 \u0661\n") == cli_output(fmt, "usage_error", message=message)
 
 
-@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_program_numerals_past_the_int_text_limit_are_usage_errors(tmp_path, fmt):
     message = "numeral of 5001 digits exceeds the 4300-digit limit"
-    _assert_program_is_a_usage_error(tmp_path / "id.rec", "proj 1" + "0" * 5000 + " 1\n", message, fmt)
+    got = _eval_program_text(tmp_path, fmt, "proj 1" + "0" * 5000 + " 1\n")
+    assert got == cli_output(fmt, "usage_error", message=message)
 
 
 def test_measured_reach_astronomical_steps():
-    code, out, _ = run_cli("measured-reach", "--d", "2", "--readout", "0.25", "--steps", str(10**9))
-    assert code == 0 and out.count(",") > 10  # large reachable set, instantly
-    # the full run at d = 6 has exactly OUTPUT_BOUND readouts, so it still prints
-    code, out, _ = run_cli("measured-reach", "--d", "6", "--readout", "0.000000", "--steps", str(10**9))
-    assert code == 0 and out.count(",") == 10**6
+    # the full 2-digit run, instantly
+    reachable = ",".join(f"{k // 100}.{k % 100:02d}" for k in range(101))
+    got = run_cli("measured-reach", "--d", "2", "--readout", "0.25", "--steps", str(10**9))
+    assert got == cli_output("plain", "ok", {"readout": "0.25", "steps": 10**9, "reachable": reachable})
 
 
-def _usage_error(fmt: str, message: str) -> tuple[int, str, str]:
-    if fmt == "plain":
-        return 1, "", f"error: {message}\n"
-    return 1, json.dumps({"status": "usage_error", "message": message, "payload": {}}, indent=2) + "\n", ""
-
-
-@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize(
     "digits, steps, count",
     [
@@ -281,32 +253,25 @@ def test_runs_past_the_lower_bound_are_refused_before_reach(monkeypatch, fmt, di
     monkeypatch.setattr(readout, "reach", unreachable)
     argv = ("measured-reach", "--d", str(digits), "--readout", "0." + "0" * digits, "--steps", str(steps))
     message = f"{count} readouts exceed the output bound of {cli.OUTPUT_BOUND}"
-    assert run_cli("--format", fmt, *argv) == _usage_error(fmt, message)
+    assert run_cli("--format", fmt, *argv) == cli_output(fmt, "usage_error", message=message)
 
 
-@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_runs_inside_the_lower_bound_are_computed_first(fmt):
     # the lower bound 2^19 passes at d = 7, n = 21; the run itself holds 2^21 readouts
     argv = ("measured-reach", "--d", "7", "--readout", "0.0000000", "--steps", "21")
     message = f"2097152 readouts exceed the output bound of {cli.OUTPUT_BOUND}"
-    assert run_cli("--format", fmt, *argv) == _usage_error(fmt, message)
+    assert run_cli("--format", fmt, *argv) == cli_output(fmt, "usage_error", message=message)
     # the full run at d = 6 has exactly OUTPUT_BOUND readouts, printed byte for byte
-    payload = {
-        "readout": "0.000000",
-        "steps": 10**9,
-        "reachable": ",".join(f"{k // 10**6}.{k % 10**6:06d}" for k in range(10**6 + 1)),
-    }
-    if fmt == "plain":
-        want = "".join(f"{key}={value}\n" for key, value in payload.items())
-    else:
-        want = json.dumps({"status": "ok", "payload": payload}, indent=2) + "\n"
+    reachable = ",".join(f"{k // 10**6}.{k % 10**6:06d}" for k in range(10**6 + 1))
     argv = ("measured-reach", "--d", "6", "--readout", "0.000000", "--steps", str(10**9))
-    assert run_cli("--format", fmt, *argv) == (0, want, "")
+    want = cli_output(fmt, "ok", {"readout": "0.000000", "steps": 10**9, "reachable": reachable})
+    assert run_cli("--format", fmt, *argv) == want
 
 
 def test_measured_reach_rejects_negative_steps():
-    code, out, err = run_cli("measured-reach", "--d", "3", "--readout", "0.000", "--steps", "-1")
-    assert code == 2 and out == "" and "non-negative" in err
+    got = run_cli("measured-reach", "--d", "3", "--readout", "0.000", "--steps", "-1")
+    assert got == cli_output("plain", "domain_error", message="step count must be non-negative")
 
 
 @pytest.mark.parametrize(
@@ -321,11 +286,10 @@ def test_measured_reach_rejects_negative_steps():
     ],
 )
 def test_outputs_past_the_bound_are_usage_errors(argv):
-    code, out, err = run_cli(*argv)
-    assert code == 1 and out == "" and f"output bound of {cli.OUTPUT_BOUND}" in err
-    code, out, _ = run_cli("--format", "structured", *argv)
-    doc = json.loads(out)
-    assert code == 1 and doc["status"] == "usage_error" and str(cli.OUTPUT_BOUND) in doc["message"]
+    message = cli.run(argv).message
+    assert message.endswith(f" exceed the output bound of {cli.OUTPUT_BOUND}")
+    for fmt in FORMATS:
+        assert run_cli("--format", fmt, *argv) == cli_output(fmt, "usage_error", message=message)
 
 
 def test_output_bound_admits_exactly_its_count(monkeypatch):
@@ -370,36 +334,29 @@ def test_long_integers_print_in_full():
 
 def test_decimals_up_to_the_bound_print_in_full():
     bound = cli.DECIMALS_BOUND
-    digits = "0." + "6" * bound
-    code, out, err = run_cli("--decimals", str(bound), "baker-step", "--x", "1/3")
-    assert code == 0 and err == "" and out == f"value=2/3\nvalue_dec={digits}\n"
-    code, out, _ = run_cli("--format", "structured", "--decimals", str(bound), "baker-step", "--x", "1/3")
-    assert code == 0 and json.loads(out)["payload"] == {"value": "2/3", "value_dec": digits}
+    for fmt in FORMATS:
+        got = run_cli("--format", fmt, "--decimals", str(bound), "baker-step", "--x", "1/3")
+        assert got == cli_output(fmt, "ok", {"value": "2/3", "value_dec": "0." + "6" * bound})
 
 
 def test_decimals_past_the_bound_are_usage_errors():
-    argv = ("--decimals", str(cli.DECIMALS_BOUND + 1), "baker-step", "--x", "1/3")
-    code, out, err = run_cli(*argv)
-    assert code == 1 and out == "" and f"bound of {cli.DECIMALS_BOUND} digits" in err
-    code, out, _ = run_cli("--format", "structured", *argv)
-    doc = json.loads(out)
-    assert code == 1 and doc["status"] == "usage_error" and str(cli.DECIMALS_BOUND) in doc["message"]
+    bound = cli.DECIMALS_BOUND
+    message = f"--decimals {bound + 1} exceeds the bound of {bound} digits"
+    for fmt in FORMATS:
+        got = run_cli("--format", fmt, "--decimals", str(bound + 1), "baker-step", "--x", "1/3")
+        assert got == cli_output(fmt, "usage_error", message=message)
 
 
 def test_digits_up_to_the_bound_parse_and_past_it_are_usage_errors():
     bound = cli.DIGITS_BOUND
-    at_bound = ("measured-succ", "--d", str(bound), "--readout", "0." + "0" * bound)
-    code, out, err = run_cli(*at_bound)
-    assert code == 0 and err == "" and out.startswith(f"readout={at_bound[-1]}\n")
-    code, out, _ = run_cli("--format", "structured", *at_bound)
-    assert code == 0 and json.loads(out)["payload"]["readout"] == at_bound[-1]
-    for command in (("measured-succ",), ("measured-reach", "--steps", "3")):
-        argv = (command[0], "--d", str(bound + 1), "--readout", "0." + "0" * (bound + 1), *command[1:])
-        code, out, err = run_cli(*argv)
-        assert code == 1 and out == "" and err == f"error: --d {bound + 1} exceeds the bound of {bound} digits\n"
-        code, out, _ = run_cli("--format", "structured", *argv)
-        doc = json.loads(out)
-        assert code == 1 and doc["status"] == "usage_error" and f"bound of {bound} digits" in doc["message"]
+    zero, one = "0." + "0" * bound, "0." + "0" * (bound - 1) + "1"
+    message = f"--d {bound + 1} exceeds the bound of {bound} digits"
+    for fmt in FORMATS:
+        got = run_cli("--format", fmt, "measured-succ", "--d", str(bound), "--readout", zero)
+        assert got == cli_output(fmt, "ok", {"readout": zero, "successors": f"{zero},{one}"})
+        for command in (("measured-succ",), ("measured-reach", "--steps", "3")):
+            argv = (command[0], "--d", str(bound + 1), "--readout", "0." + "0" * (bound + 1), *command[1:])
+            assert run_cli("--format", fmt, *argv) == cli_output(fmt, "usage_error", message=message)
 
 
 def test_main_restores_the_int_text_limit(monkeypatch):
@@ -465,7 +422,7 @@ _SUBCOMMAND_MODULES = [  # (argv, the library modules past encoding and rational
         *(
             pytest.param(_CALL.format(["--format", fmt, *argv]), extra, id=f"{fmt}-{argv[0]}")
             for argv, extra in _SUBCOMMAND_MODULES
-            for fmt in ("plain", "structured")
+            for fmt in FORMATS
         ),
     ],
 )

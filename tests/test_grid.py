@@ -35,8 +35,6 @@ def test_iterate_examples():
 def test_table_examples():
     assert grid.table(1) == [(0, 0), (1, 0)]
     assert grid.table(2) == [(0, 0), (1, 2), (2, 0)]
-    for n_res in (3, 17, 100):
-        assert len(grid.table(n_res)) == n_res + 1
 
 
 def test_min_separation():
@@ -92,8 +90,3 @@ def test_orbit_with_cycle_matches_table_search():
         for i in range(n_res + 1):
             state = GridState(n_res, i)
             assert grid.orbit_with_cycle(state) == _orbit_with_cycle_by_table(state)
-
-
-def test_orbit_with_cycle_fixed_point():
-    orbit, entry, length = grid.orbit_with_cycle(GridState(7, 0))
-    assert orbit == [0] and entry == 0 and length == 1
