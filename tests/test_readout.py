@@ -158,12 +158,16 @@ def _readout_texts(run: SuccessorSet) -> list[str]:
     return [Readout(run.digits, k).text for k in run.members]
 
 
+def test_relation_table_shape():
+    # one row per readout, in index order; run sizes are in the successor-run check
+    for digits in (1, 2, 3):
+        assert [k for k, _ in relation_table(digits)] == list(range(10**digits + 1))
+
+
 def test_run_texts_name_every_member():
     # every successor run, and the full run that every reach settles on
     for digits in (1, 2, 3):
-        rows = relation_table(digits)
-        assert [k for k, _ in rows] == list(range(10**digits + 1))
-        for run in (SuccessorSet(digits, 0, 10**digits), *(row for _, row in rows)):
+        for run in (SuccessorSet(digits, 0, 10**digits), *(row for _, row in relation_table(digits))):
             assert run.texts() == _readout_texts(run)
 
 
