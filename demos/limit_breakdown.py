@@ -23,15 +23,11 @@ def main() -> None:
         size = value.denominator.bit_length()
         print(f"  date {n}: {truncate_decimal(value, 10)}  ({size} bits of denominator)")
     print("  the exact date-n state has about 2^n digits; the accuracy rule")
-    print("  sidesteps that with outward-rounded brackets past the size cap")
+    print("  sidesteps that by flooring onto a fixed-point grid past the size cap")
 
     crossing = Fraction(1, 1000)
-    value = start
-    for n in range(10):
-        if value < crossing:
-            print(f"  first below {format_rational(crossing)} at date {n} (exact comparison)")
-            break
-        value = value * value
+    n = dissipative.first_date_below(start, crossing, 9)
+    print(f"  first below {format_rational(crossing)} at date {n} (exact comparison)")
 
     print("\n== the limit map and its jump ==")
     for q in (Fraction(0), Fraction(9, 10), Fraction(999, 1000), Fraction(1)):

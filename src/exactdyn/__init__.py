@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     ExactDynError,
     IllFormedError,
-    InvalidStateError,
     NotACodeError,
     ProgramParseError,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "DomainError",
     "ExactDynError",
     "IllFormedError",
-    "InvalidStateError",
     "NotACodeError",
     "ProgramParseError",
     "baker",

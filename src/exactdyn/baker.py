@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import grid
 from .errors import DomainError
-from .rational import HALF, format_rational, require_unit_interval
+from .rational import HALF, require_unit_interval
 from .realfn import UNIT, RealFn
 
 
@@ -85,14 +85,6 @@ class SensitivityWitness:
     @property
     def end_gap(self) -> Fraction:
         return abs(self.end_a - self.end_b)
-
-    def __str__(self) -> str:
-        return (
-            f"|{format_rational(self.start_a)} - {format_rational(self.start_b)}| "
-            f"= {format_rational(self.start_gap)} <= {format_rational(self.eta)}, "
-            f"yet after {self.steps} steps the orbits sit at "
-            f"{format_rational(self.end_a)} and {format_rational(self.end_b)}"
-        )
 
 
 def sensitivity_witness(eta: Fraction, a: Fraction, b: Fraction) -> SensitivityWitness:

@@ -39,7 +39,6 @@ from .errors import (
     ArityMismatchError,
     DomainError,
     IllFormedError,
-    InvalidStateError,
     NotACodeError,
     ProgramParseError,
 )
@@ -426,7 +425,7 @@ def run(argv: Sequence[str]) -> CommandResult:
         return failed(STATUS_USAGE, str(exc))
     except RecursionError:
         return failed(STATUS_USAGE, "program term is nested too deeply")
-    except (DomainError, InvalidStateError) as exc:
+    except DomainError as exc:
         return failed(STATUS_DOMAIN, str(exc))
     except NotACodeError as exc:
         return failed(STATUS_NOT_A_CODE, str(exc))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .rational import HALF, ONE, ZERO, format_rational, require_unit_interval
+from .rational import HALF, ONE, ZERO, require_unit_interval
 from .realfn import UNIT, RealFn
 
 # beyond this, iterates are tracked by a floor on a dyadic grid instead of
@@ -114,12 +114,6 @@ class LimitWitness:
     x_alt: Fraction
     eta: Fraction
     gap: Fraction
-
-    def __str__(self) -> str:
-        return (
-            f"|{format_rational(self.x)} - {format_rational(self.x_alt)}| <= "
-            f"{format_rational(self.eta)} but the limits differ by {format_rational(self.gap)}"
-        )
 
 
 def discontinuity_witness(eta: Fraction) -> LimitWitness:

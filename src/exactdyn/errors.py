@@ -6,7 +6,11 @@ class ExactDynError(Exception):
 
 
 class DomainError(ExactDynError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    A grid state, readout or run of readouts that breaks its invariants
+    is such an argument too.
+    """
 
 
 class NotACodeError(ExactDynError):
@@ -19,10 +23,6 @@ class IllFormedError(ExactDynError):
 
 class ArityMismatchError(ExactDynError):
     """An argument vector does not match the arity of a term."""
-
-
-class InvalidStateError(ExactDynError):
-    """A grid state or readout violates its structural invariants."""
 
 
 class ProgramParseError(ExactDynError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidStateError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class GridState:
     def __post_init__(self) -> None:
         _require_resolution(self.resolution)
         if not 0 <= self.index <= self.resolution:
-            raise InvalidStateError(
+            raise DomainError(
                 f"index {self.index} outside 0..{self.resolution}"
             )
 
@@ -43,7 +43,7 @@ class GridState:
 
 def _require_resolution(resolution: int) -> None:
     if resolution < 1:
-        raise InvalidStateError(f"resolution {resolution} must be >= 1")
+        raise DomainError(f"resolution {resolution} must be >= 1")
 
 
 def fold(i: int, resolution: int) -> int:
@@ -55,7 +55,7 @@ def fold(i: int, resolution: int) -> int:
 def fold_power(i: int, resolution: int, n: int) -> int:
     """fold applied n times to i: T^n(i/N) = dist(2^n i/N, 2Z), on indices."""
     if n < 0:
-        raise InvalidStateError("step count must be non-negative")
+        raise DomainError("step count must be non-negative")
     period = 2 * resolution
     r = pow(2, n, period) * i % period
     return min(r, period - r)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import InvalidStateError
+from .errors import DomainError
 from .rational import HALF, ONE, ZERO, fixed_point, require_unit_interval
 
 
@@ -84,15 +84,11 @@ class Readout:
 
     def __post_init__(self) -> None:
         if self.digits < 1:
-            raise InvalidStateError(f"digits {self.digits} must be >= 1")
+            raise DomainError(f"digits {self.digits} must be >= 1")
         if not 0 <= self.index <= 10**self.digits:
-            raise InvalidStateError(
+            raise DomainError(
                 f"index {self.index} outside 0..10^{self.digits}"
             )
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.index, 10**self.digits)
 
     @property
     def text(self) -> str:
@@ -114,9 +110,9 @@ def parse_readout(text: str, digits: int) -> Readout:
     """Read back exactly the text a readout prints: one digit, a point, d digits."""
     m = re.fullmatch(r"([0-9])\.([0-9]*)", text)
     if m is None:
-        raise InvalidStateError(f"not a readout: {text!r}")
+        raise DomainError(f"not a readout: {text!r}")
     if len(m.group(2)) != digits:
-        raise InvalidStateError(f"{text!r} is not a {digits}-digit readout")
+        raise DomainError(f"{text!r} is not a {digits}-digit readout")
     return Readout(digits, int(m.group(1) + m.group(2)))
 
 
@@ -124,7 +120,7 @@ def measure(x: Fraction, digits: int) -> Readout:
     """Truncate a position to d digits: index floor(x * 10^d)."""
     require_unit_interval(x, "position")
     if digits < 1:
-        raise InvalidStateError(f"digits {digits} must be >= 1")
+        raise DomainError(f"digits {digits} must be >= 1")
     scaled = x * 10**digits
     return Readout(digits, scaled.numerator // scaled.denominator)
 
@@ -139,7 +135,7 @@ class SuccessorSet:
 
     def __post_init__(self) -> None:
         if not 0 <= self.lo <= self.hi <= 10**self.digits:
-            raise InvalidStateError(
+            raise DomainError(
                 f"{self.lo}..{self.hi} is not a run of readouts in 0..10^{self.digits}"
             )
 
@@ -154,10 +150,6 @@ class SuccessorSet:
 
     def texts(self) -> list[str]:
         return [fixed_point(k, self.digits) for k in range(self.lo, self.hi + 1)]
-
-    def __len__(self) -> int:
-        """``count``; ``len()`` raises ``OverflowError`` past ``sys.maxsize``."""
-        return self.count
 
 
 def _branch_images(span: Span) -> list[tuple[Span, bool]]:
@@ -239,25 +231,26 @@ def min_reach_count(digits: int, n: int) -> int:
     """A lower bound on ``reach(m, n).count`` that holds for every start m.
 
     From ``settling_steps(d)`` steps on every run is full, 10^d + 1
-    readouts.  Below that the bound is 2^(n-2), or 1 when n < 2.  A run
-    holds the readouts of the exact image T^n(cell): the relation
-    contains every exact step, so by induction the cells of the n-step
-    run cover T^n(cell).  For a cell of width 1/10^d, 2^n·cell is an
-    interval of length L = 2^n/10^d.  dist(., 2Z) has slope +-1 and turns
-    at the integers: with no turn inside, the image has length L; with
-    one, its longer side keeps at least L/2; with two, the image is all
-    of [0,1].  So T^n(cell) has length at least min(1, 2^(n-1)/10^d).
-    Below the settling step 2^(n-1) <= 2^(bit_length(10^d) - 1) <= 10^d,
-    so the image has length at least 2^(n-1)/10^d and meets at least
-    2^(n-1) cells of width 1/10^d.  The top cell {1} loses one step,
-    since it first goes to cell 0, which leaves 2^(n-2) (and one readout
-    for n < 2).  So the bound never exceeds 10^d / 2 below the settling
-    step.  Comparing n with the settling step first keeps 2^n from being
-    built for an astronomical n.
+    readouts.  Below that the bound is 2^(n-1), or 1 when n = 0, and
+    some start attains it.  A run holds the readouts of the exact image
+    T^n(cell): the relation contains every exact step, so by induction
+    the cells of the n-step run cover T^n(cell).  For a cell of width
+    1/10^d, 2^n·cell is an interval of length L = 2^n/10^d.  dist(., 2Z)
+    has slope +-1 and turns at the integers: with no turn inside, the
+    image has length L; with one, its longer side keeps at least L/2;
+    with two, the image is all of [0,1].  So T^n(cell) has length at
+    least min(1, 2^(n-1)/10^d).  Below the settling step
+    2^(n-1) <= 2^(bit_length(10^d) - 1) <= 10^d, so the image has length
+    at least 2^(n-1)/10^d and meets at least 2^(n-1) cells of width
+    1/10^d.  The top cell {1} is no exception: it steps to cell 0, whose
+    (n-1)-step image [0, 2^(n-1)/10^d) meets exactly 2^(n-1) cells.  So
+    the bound never exceeds 10^d / 2 below the settling step.  Comparing
+    n with the settling step first keeps 2^n from being built for an
+    astronomical n.
     """
     if n >= settling_steps(digits):
         return 10**digits + 1
-    return 1 if n < 2 else 2 ** (n - 2)
+    return 2 ** (n - 1) if n else 1
 
 
 def reach(m: Readout, n: int) -> SuccessorSet:
@@ -284,7 +277,7 @@ def reach(m: Readout, n: int) -> SuccessorSet:
     early at a run equal to its own image.
     """
     if n < 0:
-        raise InvalidStateError("step count must be non-negative")
+        raise DomainError("step count must be non-negative")
     if n >= settling_steps(m.digits):
         return SuccessorSet(m.digits, 0, 10**m.digits)
     half = 10**m.digits // 2

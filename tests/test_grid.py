@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactdyn import grid
-from exactdyn.errors import InvalidStateError
+from exactdyn.errors import DomainError
 from exactdyn.grid import GridState
 
 
 def test_state_validation():
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(DomainError):
         GridState(0, 0)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(DomainError):
         GridState(10, 11)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(DomainError):
         GridState(10, -1)
     assert GridState(10, 10).position == 1
 
@@ -51,9 +51,9 @@ def test_fold_power_matches_stepwise_iteration():
             for n in range(3 * n_res + 4):
                 assert grid.fold_power(i, n_res, n) == j
                 j = grid.fold(j, n_res)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(DomainError):
         grid.fold_power(1, 3, -1)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(DomainError):
         grid.iterate(GridState(3, 1), -1)
 
 

@@ -546,13 +546,6 @@ def test_parser_matches_the_reference_on_random_token_strings():
         _assert_parses_agree("".join(tok + rng.choice(_SEPARATORS) for tok in tokens))
 
 
-def test_deeply_nested_text_round_trips():
-    for depth in (800, 5000):
-        text = "(comp succ " * depth + "proj 1 1" + ")" * depth
-        term = murec.parse_program(text)
-        assert arity(term) == 1 and murec.format_program(term) == text
-
-
 def test_builtin_corpus_complete():
     # each program's arity is checked by the murec check suite
     assert set(murec.BUILTIN_PROGRAMS) == {
