@@ -32,8 +32,6 @@ def step(x: Fraction) -> Fraction:
 
 def iterate(x: Fraction, n: int) -> Fraction:
     """n-fold step; exact, n = 0 returns x unchanged."""
-    if n < 0:
-        raise DomainError("step count must be non-negative")
     q = require_unit_interval(x, "position").denominator
     return Fraction(grid.fold_power(x.numerator, q, n), q)
 

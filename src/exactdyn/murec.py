@@ -390,8 +390,7 @@ def conjugate_evaluate(
 
 def _tokenize(text: str) -> list[str]:
     """Parentheses and the whitespace-separated runs between them, comments dropped."""
-    if "#" in text:
-        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 

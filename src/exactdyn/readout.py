@@ -83,8 +83,7 @@ class Readout:
     index: int
 
     def __post_init__(self) -> None:
-        if self.digits < 1:
-            raise DomainError(f"digits {self.digits} must be >= 1")
+        _require_digits(self.digits)
         if not 0 <= self.index <= 10**self.digits:
             raise DomainError(
                 f"index {self.index} outside 0..10^{self.digits}"
@@ -106,6 +105,11 @@ class Readout:
         )
 
 
+def _require_digits(digits: int) -> None:
+    if digits < 1:
+        raise DomainError(f"digits {digits} must be >= 1")
+
+
 def parse_readout(text: str, digits: int) -> Readout:
     """Read back exactly the text a readout prints: one digit, a point, d digits."""
     m = re.fullmatch(r"([0-9])\.([0-9]*)", text)
@@ -119,8 +123,7 @@ def parse_readout(text: str, digits: int) -> Readout:
 def measure(x: Fraction, digits: int) -> Readout:
     """Truncate a position to d digits: index floor(x * 10^d)."""
     require_unit_interval(x, "position")
-    if digits < 1:
-        raise DomainError(f"digits {digits} must be >= 1")
+    _require_digits(digits)
     scaled = x * 10**digits
     return Readout(digits, scaled.numerator // scaled.denominator)
 
@@ -134,6 +137,7 @@ class SuccessorSet:
     hi: int
 
     def __post_init__(self) -> None:
+        _require_digits(self.digits)
         if not 0 <= self.lo <= self.hi <= 10**self.digits:
             raise DomainError(
                 f"{self.lo}..{self.hi} is not a run of readouts in 0..10^{self.digits}"
@@ -181,7 +185,7 @@ def _candidate_indices(image: Span, digits: int) -> range:
     lo_scaled = image.lo * scale
     hi_scaled = image.hi * scale
     first = lo_scaled.numerator // lo_scaled.denominator
-    last = min(hi_scaled.numerator // hi_scaled.denominator, scale)
+    last = hi_scaled.numerator // hi_scaled.denominator
     return range(first, last + 1)
 
 
@@ -203,15 +207,14 @@ def successors(m: Readout) -> SuccessorSet:
 def successor_witnesses(m: Readout) -> dict[int, Fraction]:
     """For each successor, a point of m's cell that steps into its cell.
 
-    The witness is the branch preimage of a point of the (nonempty)
-    intersection between the cell's image and the successor's cell, so
-    it certifies membership constructively.
+    The witness is the branch preimage of a point where the cell's image
+    meets the successor's cell, so it certifies membership constructively.
+    No successor cell meets both branch pieces, so no witness is replaced.
     """
     witnesses: dict[int, Fraction] = {}
     for k, overlap, rising in _meetings(m):
-        if k not in witnesses:
-            y = overlap.some_point()
-            witnesses[k] = y / 2 if rising else 1 - y / 2
+        y = overlap.some_point()
+        witnesses[k] = y / 2 if rising else 1 - y / 2
     return witnesses
 
 
@@ -224,12 +227,14 @@ def relation_table(digits: int) -> list[tuple[int, SuccessorSet]]:
 
 def settling_steps(digits: int) -> int:
     """Steps from which every run is the full run 0..10^d; ``reach`` proves it."""
+    _require_digits(digits)
     return (10**digits).bit_length() + 1
 
 
 def min_reach_count(digits: int, n: int) -> int:
     """A lower bound on ``reach(m, n).count`` that holds for every start m.
 
+    Digits d < 1 and step counts n < 0 are refused, as ``reach`` refuses them.
     From ``settling_steps(d)`` steps on every run is full, 10^d + 1
     readouts.  Below that the bound is 2^(n-1), or 1 when n = 0, and
     some start attains it.  A run holds the readouts of the exact image
@@ -248,6 +253,8 @@ def min_reach_count(digits: int, n: int) -> int:
     n with the settling step first keeps 2^n from being built for an
     astronomical n.
     """
+    if n < 0:
+        raise DomainError("step count must be non-negative")
     if n >= settling_steps(digits):
         return 10**digits + 1
     return 2 ** (n - 1) if n else 1
@@ -273,8 +280,7 @@ def reach(m: Readout, n: int) -> SuccessorSet:
     cell 0 = [0, 1/10^d), which 2^(n-1) stretches to [0, 2^(n-1)/10^d),
     and dist(., 2Z) folds that onto all of [0,1] once 2^(n-1) > 10^d.
     From n = settling_steps(d) on both hold, since there
-    2^(n-1) >= 2^bit_length(10^d) > 10^d.  Below that, stepping stops
-    early at a run equal to its own image.
+    2^(n-1) >= 2^bit_length(10^d) > 10^d.
     """
     if n < 0:
         raise DomainError("step count must be non-negative")
@@ -285,8 +291,5 @@ def reach(m: Readout, n: int) -> SuccessorSet:
     for _ in range(n):
         cells = (lo, hi, half) if lo <= half <= hi else (lo, hi)
         runs = [successors(Readout(m.digits, k)) for k in cells]
-        image = min(r.lo for r in runs), max(r.hi for r in runs)
-        if image == (lo, hi):
-            break
-        lo, hi = image
+        lo, hi = min(r.lo for r in runs), max(r.hi for r in runs)
     return SuccessorSet(m.digits, lo, hi)

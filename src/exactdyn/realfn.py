@@ -60,8 +60,8 @@ class ApproxReal:
     """A real number, queryable to any positive rational accuracy.
 
     ``at(eps)`` must return a rational within eps of the denoted real.
-    ``exact`` is an optional fast path for reals that happen to be
-    rational; when set, ``at`` must return it for every accuracy.
+    ``exact`` may hold a rational real's value, which ``at`` must then return
+    for every accuracy; ``evaluate`` reads it only to refuse an out-of-domain point.
     """
 
     at: ApproxRule

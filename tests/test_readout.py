@@ -100,6 +100,8 @@ def test_successor_set_is_one_run():
     for lo, hi in ((2, 1), (0, 1001), (-1, 3)):
         with pytest.raises(DomainError):
             SuccessorSet(3, lo, hi)
+    with pytest.raises(DomainError, match="digits 0 must be >= 1"):
+        SuccessorSet(0, 0, 0)
 
 
 def test_reach_rejects_negative_step_counts():
@@ -107,18 +109,21 @@ def test_reach_rejects_negative_step_counts():
         reach(Readout(3, 0), -1)
 
 
-def _stepped_reach(m: Readout, n: int) -> SuccessorSet:
-    """Reference: step the run from m until n steps or its own image, with no settled shortcut."""
+def _stepped_runs(m: Readout) -> list[SuccessorSet]:
+    """Reference: the run from m after 0, 1, 2, ... steps, with no settled shortcut.
+
+    Stepping stops at the first run that is its own image; every later step repeats it.
+    """
     half = 10**m.digits // 2
-    lo = hi = m.index
-    for _ in range(n):
+    runs = [(m.index, m.index)]
+    while True:
+        lo, hi = runs[-1]
         cells = (lo, hi, half) if lo <= half <= hi else (lo, hi)
-        runs = [successors(Readout(m.digits, k)) for k in cells]
-        image = min(r.lo for r in runs), max(r.hi for r in runs)
+        succ = [successors(Readout(m.digits, k)) for k in cells]
+        image = min(r.lo for r in succ), max(r.hi for r in succ)
         if image == (lo, hi):
-            break
-        lo, hi = image
-    return SuccessorSet(m.digits, lo, hi)
+            return [SuccessorSet(m.digits, lo, hi) for lo, hi in runs]
+        runs.append(image)
 
 
 def _reach_starts() -> list[tuple[int, list[int]]]:
@@ -137,9 +142,10 @@ def test_reach_settles_on_the_full_run():
         least = [top + 1] * settle
         for k in starts:
             m = Readout(digits, k)
+            stepped = _stepped_runs(m)
             for n in (*range(settle + 3), 10**9, 10**100):
                 run = reach(m, n)
-                assert run == _stepped_reach(m, n) and run.count >= min_reach_count(digits, n), (digits, k, n)
+                assert run == stepped[min(n, len(stepped) - 1)] and run.count >= min_reach_count(digits, n), (digits, k, n)
                 if n < settle:
                     least[n] = min(least[n], run.count)
             assert reach(m, settle) == SuccessorSet(digits, 0, top)
@@ -154,6 +160,14 @@ def test_min_reach_count_bounds_every_run():
         assert min_reach_count(digits, settle) == full
     # compared with the settling step first: 2^(n-1) is never built here
     assert min_reach_count(7, 10**18) == 10**7 + 1
+    for refused, message in (
+        (lambda: min_reach_count(0, 1), "digits 0 must be >= 1"),
+        (lambda: min_reach_count(3, -1), "step count must be non-negative"),
+        (lambda: settling_steps(0), "digits 0 must be >= 1"),
+        (lambda: settling_steps(-1), "digits -1 must be >= 1"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            refused()
 
 
 def _readout_texts(run: SuccessorSet) -> list[str]:
