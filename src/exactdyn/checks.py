@@ -1,13 +1,21 @@
 """Seeded property suites for every module, each property written once.
 
 Each suite verifies its module's contract: round trips, oracle
-agreement, Lipschitz bounds, witness validity.  All sampling is driven
-by one seed, so a run is reproducible bit for bit.  Every suite runs at
-two scales.  ``exactdyn check`` runs the small one, which is the
-default; the acceptance gate (``tests/test_acceptance.py``) passes
-``gate=True`` for more samples over wider ranges, at seed 0 and fuel
-10^6.  Baker and dissipative have one scale: their samples already
-cover the gate.
+agreement, Lipschitz bounds, witness validity.  A check is a claim: a
+name, its cases and one predicate.  The cases are a lazy iterable of
+small tuples of ints, rationals and names; ``_check`` runs the predicate
+on each in turn and stops at the first it rejects, which the check
+reports in exact rational text (``fails at 1/3, 2``).  A rejected
+accuracy rule adds its first failing trial, an evaluation that runs out
+of fuel leaves the check undecided, and any other exception fails it as
+``raised <repr>``.
+
+All sampling is driven by one seed, so a run is reproducible bit for
+bit.  Every suite runs at two scales.  ``exactdyn check`` runs the small
+one, which is the default; the acceptance gate
+(``tests/test_acceptance.py``) passes ``gate=True`` for more samples over
+wider ranges, at seed 0 and fuel 10^6.  Baker and dissipative have one
+scale: their samples already cover the gate.
 
 Each kind of test has one home.  Properties, claims over a range or a
 sample, live here and only here.  Worked examples, input validation,
@@ -19,10 +27,11 @@ it names.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import baker, dissipative, grid, murec, readout, realfn
 from .encoding import Encoding, decode_rational, encode_rational, pair, translate, unpair
@@ -42,6 +51,10 @@ class _OutOfFuel(Exception):
     pass
 
 
+class _Refuted(Exception):
+    """A rejection that carries its own account: an accuracy rule's first failing trial."""
+
+
 _Outcome = TypeVar("_Outcome")
 
 
@@ -56,14 +69,31 @@ def _within_fuel(outcome: _Outcome | murec.Diverged, fuel: int) -> _Outcome:
     return outcome
 
 
-def _check(name: str, body: Callable[[], str | None]) -> CheckResult:
+def _certified(fn: realfn.RealFn, oracle: Callable[[Fraction], Fraction], trials: int, seed: int) -> bool:
+    report = realfn.check_modulus(fn, oracle, trials, seed)
+    if not report.ok:
+        raise _Refuted(report.failures[0])
+    return True
+
+
+def _fails_at(case: tuple) -> str:
+    return "fails at " + ", ".join(v if isinstance(v, str) else format_rational(v) for v in case)
+
+
+def _check(name: str, cases: Iterable[tuple], holds: Callable[..., bool]) -> CheckResult:
+    """Run holds on each case in turn; the first case it rejects fails the check."""
+    case: tuple = ()
     try:
-        detail = body()
+        for case in cases:
+            if not holds(*case):
+                return CheckResult(name, False, _fails_at(case))
     except _OutOfFuel as exc:
         return CheckResult(name, False, str(exc), out_of_fuel=True)
+    except _Refuted as exc:
+        return CheckResult(name, False, f"{_fails_at(case)}: {exc}")
     except Exception as exc:  # a crashing check is a failing check
         return CheckResult(name, False, f"raised {exc!r}")
-    return CheckResult(name, detail is None, detail or "")
+    return CheckResult(name, True)
 
 
 # --- seeded samplers ---
@@ -94,59 +124,38 @@ def seeded_unit_rationals(rng: random.Random, count: int) -> list[Fraction]:
 
 def encoding_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
+    numberings = {e.value: e for e in Encoding}
 
-    def pairing_window() -> str | None:
-        for c in range(10**4):
-            if pair(*unpair(c)) != c:
-                return f"pair(unpair({c})) != {c}"
-        for n in range(100):
-            for p in range(100):
-                if unpair(pair(n, p)) != (n, p):
-                    return f"unpair(pair({n},{p})) wrong"
-        return None
-
-    def round_trip() -> str | None:
-        samples = seeded_rationals(rng, 10**4 if gate else 2000)
+    def samples() -> Iterator[Fraction]:
+        yield from seeded_rationals(rng, 10**4 if gate else 2000)
         for digits in (60, 1000):  # the pairing must stay exact at thousands of digits
             for _ in range(5):
                 q = Fraction(rng.randrange(10**digits), rng.randrange(1, 10**digits))
-                samples.append(-q if rng.randrange(2) else q)
-        for q in samples:
-            for enc in Encoding:
-                if decode_rational(encode_rational(q, enc), enc) != q:
-                    return f"{format_rational(q)} broke the {enc.value} round trip"
-        return None
+                yield -q if rng.randrange(2) else q
 
-    def injectivity() -> str | None:
+    def code_counts() -> Iterator[tuple[str, int]]:
         distinct = sorted(set(seeded_rationals(rng, 1500)))[:1000]
-        if len(distinct) != 1000:
-            return f"only {len(distinct)} distinct rationals sampled"
-        for enc in Encoding:
-            if len({encode_rational(q, enc) for q in distinct}) != len(distinct):
-                return f"two distinct rationals share a {enc.value} code"
-        return None
+        for name, numbering in numberings.items():
+            yield name, len({encode_rational(q, numbering) for q in distinct})
 
-    def translation() -> str | None:
-        for c in range(10**4):
-            for source, target in (
-                (Encoding.CANONICAL, Encoding.ALTERNATIVE),
-                (Encoding.ALTERNATIVE, Encoding.CANONICAL),
-            ):
-                try:
-                    q = decode_rational(c, source)
-                except NotACodeError:
-                    continue
-                if decode_rational(translate(c, source, target), target) != q:
-                    return f"translation of {c} is incoherent"
-                if translate(c, source, source) != c:
-                    return f"identity translation moved {c}"
-        return None
+    def coherent(c: int, source: str, target: str) -> bool:
+        s, t = numberings[source], numberings[target]
+        try:
+            q = decode_rational(c, s)
+        except NotACodeError:
+            return True
+        return decode_rational(translate(c, s, t), t) == q and translate(c, s, s) == c
 
     return [
-        _check("encoding: pairing bijectivity window", pairing_window),
-        _check("encoding: rational round trip, both numberings", round_trip),
-        _check("encoding: injectivity sample", injectivity),
-        _check("encoding: translation coherence", translation),
+        _check("encoding: pairing bijectivity window", zip(range(10**4)),
+               lambda c: pair(*unpair(c)) == c and unpair(pair(*divmod(c, 100))) == divmod(c, 100)),
+        _check("encoding: rational round trip, both numberings",
+               ((q, name) for q in samples() for name in numberings),
+               lambda q, name: decode_rational(encode_rational(q, numberings[name]), numberings[name]) == q),
+        _check("encoding: injectivity sample", code_counts(), lambda name, codes: codes == 1000),
+        _check("encoding: translation coherence",
+               ((c, *ends) for c in range(10**4) for ends in (numberings, reversed(numberings))),
+               coherent),
     ]
 
 
@@ -157,98 +166,62 @@ _DIVERGENT = murec.Mu(murec.Comp(murec.Succ(), (murec.Proj(2, 2),)))
 
 def murec_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
-    add = murec.builtin_program("addition")
-    mul = murec.builtin_program("multiplication")
-    pred = murec.builtin_program("predecessor")
-    sub = murec.builtin_program("truncated_subtraction")
-    sign = murec.builtin_program("sign")
+    oracles: dict[str, Callable[..., int]] = {
+        "addition": lambda x, y: x + y,
+        "multiplication": lambda x, y: x * y,
+        "truncated_subtraction": lambda x, y: max(x - y, 0),
+        "predecessor": lambda y: max(y - 1, 0),
+        "sign": lambda y: min(y, 1),
+    }
+    corpus = functools.cache(murec.builtin_program)  # parsed once, by the first check that runs it
+    conjugations = {"identity": murec.Proj(1, 1), "successor": murec.Succ(), "zero": murec.Zero(1)}
 
     def evaluate(term: murec.RecFn, args: tuple[int, ...]) -> murec.Value:
         return _within_fuel(murec.evaluate(term, args, fuel), fuel)
 
-    def corpus_arities() -> str | None:
-        expected = {"addition": 2, "multiplication": 2, "predecessor": 1,
-                    "truncated_subtraction": 2, "sign": 1}
-        for name, want in expected.items():
-            got = murec.arity(murec.builtin_program(name))
-            if got != want:
-                return f"{name} has arity {got}, expected {want}"
-        return None
-
-    def oracle_agreement() -> str | None:
-        binary = (
-            (add, lambda x, y: x + y, "addition", 21),
-            (mul, lambda x, y: x * y, "multiplication", 21),
-            (sub, lambda x, y: max(x - y, 0), "truncated_subtraction", 25),
-        )
-        for term, oracle, name, top in binary:
+    def arithmetic_cases() -> Iterator[tuple]:
+        for name, top in (("addition", 21), ("multiplication", 21), ("truncated_subtraction", 25)):
             top = 51 if gate else top
-            for x in range(top):
-                for y in range(top):
-                    got = evaluate(term, (x, y))
-                    if got != murec.Value(oracle(x, y)):
-                        return f"{name}({x},{y}) = {got}, expected {oracle(x, y)}"
-        for y in range(80):
-            if evaluate(pred, (y,)) != murec.Value(max(y - 1, 0)):
-                return f"predecessor({y}) wrong"
-            if evaluate(sign, (y,)) != murec.Value(min(y, 1)):
-                return f"sign({y}) wrong"
-        return None
+            yield from ((name, x, y) for x in range(top) for y in range(top))
+        yield from ((name, y) for y in range(80) for name in ("predecessor", "sign"))
 
-    def minimization() -> str | None:
-        lookup = murec.Mu(sub)  # least y with x - y = 0 is x itself
-        for x in (0, 1, 2, 7, 9, 23, 31):
-            got = evaluate(lookup, (x,))
-            if got != murec.Value(x):
-                return f"mu over truncated subtraction at {x} gave {got}"
-            for z in range(x):
-                if evaluate(sub, (x, z)).value == 0:
-                    return f"witness {x} is not minimal: body vanished at {z}"
-        return None
+    def least(x: int) -> bool:
+        sub = corpus("truncated_subtraction")  # the least y with x - y = 0 is x itself
+        witness = evaluate(murec.Mu(sub), (x,))
+        return witness == murec.Value(x) and all(evaluate(sub, (x, z)).value for z in range(x))
 
-    def divergence() -> str | None:
-        for budget in (10**3, 10**6 if gate else 10**4):
-            got = murec.evaluate(_DIVERGENT, (0,), budget)
-            if got != murec.Diverged(budget):
-                return f"successor search terminated: {got}"
-        return None
+    def stable(name: str, x: int, y: int, low: int) -> bool:
+        first = murec.evaluate(corpus(name), (x, y), low)
+        if not isinstance(first, murec.Value):
+            return first == murec.Diverged(low)
+        return all(murec.evaluate(corpus(name), (x, y), low + extra) == first for extra in (1, 17, 10**6 - low))
 
-    def fuel_monotonicity() -> str | None:
-        for _ in range(80):
-            x, y = rng.randrange(15), rng.randrange(15)
-            low = 1 + rng.randrange(200)
-            for name, term in (("add", add), ("mul", mul)):
-                first = murec.evaluate(term, (x, y), low)
-                if not isinstance(first, murec.Value):
-                    if first != murec.Diverged(low):
-                        return f"{name}({x},{y}) stopped short of its budget {low}: {first}"
-                    continue
-                for extra in (1, 17, 10**6 - low):
-                    if murec.evaluate(term, (x, y), low + extra) != first:
-                        return f"{name}({x},{y}) changed value with more fuel"
-        return None
+    def conjugated(name: str, q: Fraction, want: Fraction | str) -> bool:
+        try:
+            return _within_fuel(murec.conjugate_evaluate(conjugations[name], (q,), fuel), fuel) == want
+        except NotACodeError:
+            return want == "not a code"
 
-    def conjugation() -> str | None:
-        identity = murec.conjugate_evaluate(murec.Proj(1, 1), (Fraction(1, 2),), fuel)
-        if _within_fuel(identity, fuel) != Fraction(1, 2):
-            return "identity is not conjugation-invariant"
-        for term, args in ((murec.Succ(), (Fraction(0),)), (murec.Zero(1), (Fraction(-1, 3),))):
-            try:
-                _within_fuel(murec.conjugate_evaluate(term, args, fuel), fuel)
-                return f"{term} unexpectedly produced a code"
-            except NotACodeError:
-                pass
-        if murec.conjugate_evaluate(_DIVERGENT, (Fraction(0),), 10**3) != murec.Diverged(10**3):
-            return "conjugated evaluation swallowed a divergence"
-        return None
-
+    runs = {"plain": murec.evaluate, "conjugated": murec.conjugate_evaluate}
+    draws = ((rng.randrange(15), rng.randrange(15), 1 + rng.randrange(200)) for _ in range(80))
     return [
-        _check("murec: corpus programs parse with expected arities", corpus_arities),
-        _check("murec: corpus agrees with built-in arithmetic", oracle_agreement),
-        _check("murec: minimization returns least witnesses", minimization),
-        _check("murec: unsatisfiable search diverges at any budget", divergence),
-        _check("murec: values are stable under extra fuel", fuel_monotonicity),
-        _check("murec: conjugated evaluation decodes correctly", conjugation),
+        _check("murec: corpus programs parse with expected arities",
+               (("addition", 2), ("multiplication", 2), ("predecessor", 1), ("truncated_subtraction", 2),
+                ("sign", 1)),
+               lambda name, want: murec.arity(corpus(name)) == want),
+        _check("murec: corpus agrees with built-in arithmetic", arithmetic_cases(),
+               lambda name, *args: evaluate(corpus(name), args) == murec.Value(oracles[name](*args))),
+        _check("murec: minimization returns least witnesses", zip((0, 1, 2, 7, 9, 23, 31)), least),
+        # conjugated runs code their argument 0 as 2, on which the search is just as hopeless
+        _check("murec: unsatisfiable search diverges at any budget",
+               ((route, budget) for budget in (10**3, 10**6 if gate else 10**4) for route in runs),
+               lambda route, budget: runs[route](_DIVERGENT, (0,), budget) == murec.Diverged(budget)),
+        _check("murec: values are stable under extra fuel",
+               ((name, *draw) for draw in draws for name in ("addition", "multiplication")), stable),
+        _check("murec: conjugated evaluation decodes correctly",
+               (("identity", Fraction(1, 2), Fraction(1, 2)), ("successor", 0, "not a code"),
+                ("zero", Fraction(-1, 3), "not a code")),
+               conjugated),
     ]
 
 
@@ -257,92 +230,54 @@ def murec_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
 
 def realfn_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
+    doubling = {n: baker.as_real_fn(n) for n in range(11)}
+    twice = realfn.compose(doubling[1], doubling[1])
+    rules = {("direct", n): fn for n, fn in doubling.items()} | {("composed", 2): twice}
+    outer = realfn.RealFn(lambda e, q: q, lambda e: e / 2, realfn.UNIT)
+    scaled = realfn.compose(outer, realfn.RealFn(lambda e, q: q, lambda e: e / 4, realfn.UNIT))
+    wrapped = realfn.compose(realfn.identity_on(realfn.UNIT), doubling[2])
+    constant = realfn.constant_on(Fraction(0), realfn.UNIT)
+    # even a wildly generous accuracy rule cannot hurt a constant
+    loose = realfn.RealFn(constant.approx, lambda eps: Fraction(10**6), realfn.UNIT)
+    constants = {"own": constant, "loose": loose}
 
-    def certified_moduli() -> str | None:
-        for n in range(1, 11) if gate else (1, 2, 3, 6):
-            report = realfn.check_modulus(
-                baker.as_real_fn(n), lambda q, n=n: baker.iterate(q, n), 1000 if gate else 250, seed
-            )
-            if not report.ok:
-                return f"n={n}: {report.failures[0]}"
-        return None
+    def caught(n: int, trials: int) -> bool:
+        lying = realfn.RealFn(approx=doubling[n].approx, modulus=lambda eps: eps, domain=realfn.UNIT)
+        report = realfn.check_modulus(lying, lambda q: baker.iterate(q, n), trials, seed)
+        return not report.ok and all(f.error > f.eps for f in report.failures)
 
-    def wrong_modulus_detected() -> str | None:
-        honest = baker.as_real_fn(2)
-        lying = realfn.RealFn(approx=honest.approx, modulus=lambda eps: eps, domain=honest.domain)
-        report = realfn.check_modulus(lying, lambda q: baker.iterate(q, 2), 1000 if gate else 500, seed)
-        if report.ok:
-            return "an accuracy rule off by 4x went unnoticed"
-        if any(f.error <= f.eps for f in report.failures):
-            return "a reported failure was within its accuracy"
-        return None
+    def agrees(x: Fraction, eps: Fraction) -> bool:
+        point = realfn.from_rational(x)
+        return realfn.evaluate(twice, point, eps) == baker.iterate(x, 2) == realfn.evaluate(wrapped, point, eps)
 
-    def composition_modulus() -> str | None:
-        outer = realfn.RealFn(lambda e, q: q, lambda e: e / 2, realfn.UNIT)
-        inner = realfn.RealFn(lambda e, q: q, lambda e: e / 4, realfn.UNIT)
-        composed = realfn.compose(outer, inner)
-        for k in (*range(1, 12), 1000):
-            eps = Fraction(1, k)
-            if composed.modulus(eps) != eps / 8:
-                return f"composed accuracy rule at {eps} is {composed.modulus(eps)}"
-        return None
+    def continuous(n: int, x: Fraction, eps: Fraction, t: Fraction) -> bool:
+        x_alt = min(x + doubling[n].modulus(eps) * t, Fraction(1))
+        return abs(baker.iterate(x, n) - baker.iterate(x_alt, n)) <= 2 * eps
 
-    def composition_agrees() -> str | None:
-        twice = realfn.compose(baker.as_real_fn(1), baker.as_real_fn(1))
-        direct = baker.as_real_fn(2)
-        ident = realfn.identity_on(realfn.UNIT)
-        wrapped = realfn.compose(ident, direct)
-        for x in seeded_unit_rationals(rng, 50):
-            point = realfn.from_rational(x)
-            for eps in (Fraction(1, 10), Fraction(1, 1000)):
-                if realfn.evaluate(twice, point, eps) != baker.iterate(x, 2):
-                    return f"twice-composed map drifted at {format_rational(x)}"
-                if realfn.evaluate(wrapped, point, eps) != realfn.evaluate(direct, point, eps):
-                    return "identity is not neutral for composition"
-        report = realfn.check_modulus(twice, lambda q: baker.iterate(q, 2), 400, seed)
-        if not report.ok:
-            return f"composed map broke its guarantee: {report.failures[0]}"
-        return None
-
-    def uniform_continuity() -> str | None:
-        for n in (2, 3, 4):
-            fn = baker.as_real_fn(n)
-            for x in seeded_unit_rationals(rng, 150):
-                eps = Fraction(1, 1 + rng.randrange(1000))
-                slack = fn.modulus(eps)
-                x_alt = min(x + slack * Fraction(rng.randrange(101), 100), Fraction(1))
-                if abs(baker.iterate(x, n) - baker.iterate(x_alt, n)) > 2 * eps:
-                    return f"nearby points {format_rational(x)}, {format_rational(x_alt)} separate"
-        return None
-
-    def evaluate_accuracy() -> str | None:
-        for n in (1, 3, 4, 6):
-            fn = baker.as_real_fn(n)
-            for x in seeded_unit_rationals(rng, 60):
-                eps = Fraction(1, 1 + rng.randrange(10**5))
-                got = realfn.evaluate(fn, realfn.from_rational(x), eps)
-                if abs(got - baker.iterate(x, n)) > eps:
-                    return f"evaluate missed by more than eps at {format_rational(x)}"
-        return None
-
-    def constant_rule() -> str | None:
-        fn = realfn.constant_on(Fraction(0), realfn.UNIT)
-        # even a wildly generous accuracy rule cannot hurt a constant
-        loose = realfn.RealFn(fn.approx, lambda eps: Fraction(10**6), realfn.UNIT)
-        for rule in (fn, loose):
-            report = realfn.check_modulus(rule, lambda q: Fraction(0), 200, seed)
-            if not report.ok:
-                return str(report.failures[0])
-        return None
+    def accurate(n: int, x: Fraction, eps: Fraction) -> bool:
+        return abs(realfn.evaluate(doubling[n], realfn.from_rational(x), eps) - baker.iterate(x, n)) <= eps
 
     return [
-        _check("realfn: folded doubling accuracy rules certified", certified_moduli),
-        _check("realfn: deliberately wrong accuracy rule is caught", wrong_modulus_detected),
-        _check("realfn: composition composes accuracy rules", composition_modulus),
-        _check("realfn: composed map equals the direct two-step map", composition_agrees),
-        _check("realfn: sampled uniform continuity", uniform_continuity),
-        _check("realfn: evaluate lands within the requested accuracy", evaluate_accuracy),
-        _check("realfn: constants satisfy any accuracy rule", constant_rule),
+        _check("realfn: folded doubling accuracy rules certified",
+               [*(("direct", n, 1000 if gate else 250) for n in (range(1, 11) if gate else (1, 2, 3, 6))),
+                ("composed", 2, 400)],
+               lambda route, n, trials: _certified(rules[route, n], lambda q: baker.iterate(q, n), trials, seed)),
+        _check("realfn: deliberately wrong accuracy rule is caught", [(2, 1000 if gate else 500)], caught),
+        _check("realfn: composition composes accuracy rules", zip((*range(1, 12), 1000)),
+               lambda k: scaled.modulus(Fraction(1, k)) == Fraction(1, 8 * k)),
+        _check("realfn: composed map equals the direct two-step map",
+               ((x, eps) for x in seeded_unit_rationals(rng, 50) for eps in (Fraction(1, 10), Fraction(1, 1000))),
+               agrees),
+        _check("realfn: sampled uniform continuity",
+               ((n, x, Fraction(1, 1 + rng.randrange(1000)), Fraction(rng.randrange(101), 100))
+                for n in (2, 3, 4) for x in seeded_unit_rationals(rng, 150)),
+               continuous),
+        _check("realfn: evaluate lands within the requested accuracy",
+               ((n, x, Fraction(1, 1 + rng.randrange(10**5)))
+                for n in (1, 3, 4, 6) for x in seeded_unit_rationals(rng, 60)),
+               accurate),
+        _check("realfn: constants satisfy any accuracy rule", zip(constants),
+               lambda rule: _certified(constants[rule], lambda q: Fraction(0), 200, seed)),
     ]
 
 
@@ -354,58 +289,38 @@ def baker_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     special = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                Fraction(1, 4), Fraction(3, 4)]
 
-    def range_preserved() -> str | None:
-        for x in special + seeded_unit_rationals(rng, 500):
-            y = baker.step(x)
-            if y < 0 or y > 1:
-                return f"step({format_rational(x)}) = {format_rational(y)} left [0,1]"
-        return None
-
-    def lipschitz() -> str | None:
+    def lipschitz_cases() -> Iterator[tuple[int, Fraction, Fraction, Fraction, Fraction]]:
+        # (n, x, y) and the n-step images of x and y: the step's computed once per point
         points = special + seeded_unit_rationals(rng, 200)
         images = [baker.step(x) for x in points]
         for i, x in enumerate(points):
-            for j in range(i + 1, len(points), 5):
-                y = points[j]
-                if abs(images[i] - images[j]) > 2 * abs(x - y):
-                    return f"step stretched {format_rational(x)}, {format_rational(y)} by > 2"
+            yield from ((1, x, points[j], images[i], images[j]) for j in range(i + 1, len(points), 5))
         for n in range(13):
-            bound = 2**n
-            for _ in range(100):
-                x, y = rng.sample(points, 2)
-                if abs(baker.iterate(x, n) - baker.iterate(y, n)) > bound * abs(x - y):
-                    return f"{n}-step iterate beat Lipschitz bound {bound}"
-        return None
+            for x, y in (rng.sample(points, 2) for _ in range(100)):
+                yield n, x, y, baker.iterate(x, n), baker.iterate(y, n)
 
-    def witnesses() -> str | None:
-        for _ in range(100):
-            eta = Fraction(1 + rng.randrange(10**6), 10**6)
-            a, b = seeded_unit_rationals(rng, 2)
-            w = baker.sensitivity_witness(eta, a, b)
-            if w.start_gap > w.eta or Fraction(1, 2**w.steps) > w.eta:
-                return f"witness for eta={format_rational(eta)} starts too far apart"
-            if not (0 <= w.start_a <= 1 and 0 <= w.start_b <= 1):
-                return f"witness for eta={format_rational(eta)} starts outside [0,1]"
-            if baker.iterate(w.start_a, w.steps) != a or baker.iterate(w.start_b, w.steps) != b:
-                return f"witness for eta={format_rational(eta)} missed its targets"
-            if w.end_gap != abs(a - b):
-                return f"witness for eta={format_rational(eta)} misreports its end gap"
-        return None
+    def exact(eta: Fraction, a: Fraction, b: Fraction) -> bool:
+        w = baker.sensitivity_witness(eta, a, b)
+        return (
+            w.start_gap <= w.eta and Fraction(1, 2**w.steps) <= w.eta
+            and 0 <= w.start_a <= 1 and 0 <= w.start_b <= 1
+            and baker.iterate(w.start_a, w.steps) == a and baker.iterate(w.start_b, w.steps) == b
+            and w.end_gap == abs(a - b)
+        )
 
-    def maximal_spread() -> str | None:
-        for j in range(1, 10):
-            w = baker.sensitivity_witness(Fraction(1, 10**j), Fraction(0), Fraction(1))
-            if w.end_gap != 1:
-                return f"eta=10^-{j}: end separation {format_rational(w.end_gap)} != 1"
-            if w.start_gap > Fraction(1, 10**j):
-                return f"eta=10^-{j}: starts are farther apart than eta"
-        return None
+    def spread(j: int) -> bool:
+        w = baker.sensitivity_witness(Fraction(1, 10**j), Fraction(0), Fraction(1))
+        return w.end_gap == 1 and w.start_gap <= Fraction(1, 10**j)
 
     return [
-        _check("baker: [0,1] maps into [0,1]", range_preserved),
-        _check("baker: 2-Lipschitz step, 2^n-Lipschitz iterate", lipschitz),
-        _check("baker: 100 sensitivity witnesses are exact", witnesses),
-        _check("baker: tiny eta still yields full separation", maximal_spread),
+        _check("baker: [0,1] maps into [0,1]", zip(special + seeded_unit_rationals(rng, 500)),
+               lambda x: 0 <= baker.step(x) <= 1),
+        _check("baker: 2-Lipschitz step, 2^n-Lipschitz iterate", lipschitz_cases(),
+               lambda n, x, y, image_x, image_y: abs(image_x - image_y) <= 2**n * abs(x - y)),
+        _check("baker: 100 sensitivity witnesses are exact",
+               ((Fraction(1 + rng.randrange(10**6), 10**6), *seeded_unit_rationals(rng, 2)) for _ in range(100)),
+               exact),
+        _check("baker: tiny eta still yields full separation", zip(range(1, 10)), spread),
     ]
 
 
@@ -414,48 +329,35 @@ def baker_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
 
 def grid_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
+    table = functools.cache(lambda n_res: dict(grid.table(n_res)))  # built once, inside the check
 
-    def exactness() -> str | None:
-        # one step from every state: grid states step to grid states, so later steps are exact by induction
-        sizes = [*range(1, 101 if gate else 41), *(rng.randrange(41, 1001) for _ in range(40))]
-        for n_res in sizes:
-            for i in range(n_res + 1):
-                s = grid.GridState(n_res, i)
-                if grid.step(s).position != baker.step(s.position):
-                    return f"grid step of {i}/{n_res} leaves the exact one"
-        return None
+    def tabled(n_res: int, i: int) -> bool:
+        lookup, via_table = table(n_res), i
+        for n in range(1, 21):
+            via_table = lookup[via_table]
+            if via_table != grid.iterate(grid.GridState(n_res, i), n).index:
+                return False
+        return len(lookup) == n_res + 1
 
-    def table_matches_iteration() -> str | None:
-        for n_res in (1, 2, 7, 9, 31, 33, 40, 100):
-            lookup = dict(grid.table(n_res))
-            if len(lookup) != n_res + 1:
-                return f"table for N={n_res} has {len(lookup)} rows"
-            for i in range(n_res + 1):
-                via_table = i
-                for n in range(1, 21):
-                    via_table = lookup[via_table]
-                    if via_table != grid.iterate(grid.GridState(n_res, i), n).index:
-                        return f"table iteration diverged at N={n_res}, start {i}"
-        return None
-
-    def eventual_periodicity() -> str | None:
-        for n_res in range(1, 101):
-            for i in range(n_res + 1):
-                orbit, entry, length = grid.orbit_with_cycle(grid.GridState(n_res, i))
-                if entry + length > n_res + 2:
-                    return f"orbit of {i}/{n_res} took too long to cycle"
-                if len(set(orbit)) != len(orbit):
-                    return f"orbit of {i}/{n_res} repeats a state before its cycle"
-                if grid.iterate(grid.GridState(n_res, orbit[entry]), length).index != orbit[entry]:
-                    return f"the cycle found from {i}/{n_res} does not close"
-                if grid.iterate(grid.GridState(n_res, i), entry + length).index != orbit[entry]:
-                    return f"cycle detection inconsistent at {i}/{n_res}"
-        return None
+    def cycles(n_res: int, i: int) -> bool:
+        orbit, entry, length = grid.orbit_with_cycle(grid.GridState(n_res, i))
+        return (
+            entry + length <= n_res + 2 and len(set(orbit)) == len(orbit)
+            and grid.iterate(grid.GridState(n_res, orbit[entry]), length).index == orbit[entry]
+            and grid.iterate(grid.GridState(n_res, i), entry + length).index == orbit[entry]
+        )
 
     return [
-        _check("grid: doubling and reflecting preserve every grid", exactness),
-        _check("grid: transition-table lookups equal iteration", table_matches_iteration),
-        _check("grid: every orbit cycles within N+2 steps", eventual_periodicity),
+        # one step from every state: grid states step to grid states, so later steps are exact by induction
+        _check("grid: doubling and reflecting preserve every grid",
+               ((n_res, i)
+                for n_res in [*range(1, 101 if gate else 41), *(rng.randrange(41, 1001) for _ in range(40))]
+                for i in range(n_res + 1)),
+               lambda n_res, i: grid.step(grid.GridState(n_res, i)).position == baker.step(Fraction(i, n_res))),
+        _check("grid: transition-table lookups equal iteration",
+               ((n_res, i) for n_res in (1, 2, 7, 9, 31, 33, 40, 100) for i in range(n_res + 1)), tabled),
+        _check("grid: every orbit cycles within N+2 steps",
+               ((n_res, i) for n_res in range(1, 101) for i in range(n_res + 1)), cycles),
     ]
 
 
@@ -465,64 +367,53 @@ def grid_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
 def readout_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
     depths = (1, 2, 3) if gate else (1, 2)
+    table = functools.cache(lambda digits: dict(readout.relation_table(digits)))  # built once, inside the check
 
-    def successor_runs() -> str | None:
+    def cells() -> Iterator[tuple[int, int]]:
+        for digits in depths:
+            yield from ((digits, k) for k in range(10**digits + 1))
+        for digits in (4, 5, 6) if gate else ():  # where a run's form changes, and evenly spaced cells
+            half = 10**digits // 2
+            spaced = {half - 1, half, half + 1, 2 * half, *range(0, 2 * half, half // 100)}
+            yield from ((digits, k) for k in sorted(spaced))
+
+    def successor_run(digits: int, k: int) -> bool:
         # D = 10^d is even, so 1/2 is a cell end and the step is monotone on every closed cell:
         # cell k < D steps onto the interval from T(k/D), attained, to the cell end T((k+1)/D),
         # not attained, whose cell is dropped when the image rises and kept when it falls
-        scales = [(digits, range(10**digits + 1)) for digits in depths]
-        for digits in (4, 5, 6) if gate else ():  # where a run's form changes, and evenly spaced cells
-            half = 10**digits // 2
-            scales.append((digits, sorted({half - 1, half, half + 1, 2 * half, *range(0, 2 * half, half // 100)})))
-        for digits, cells in scales:
-            top = 10**digits
-            for k in cells:
-                if k == top:
-                    expected = (0, 0)
-                else:
-                    near, far = (readout.measure(baker.step(Fraction(j, top)), digits).index for j in (k, k + 1))
-                    expected = (near, far - 1) if near < far else (far, near)
-                got = readout.successors(readout.Readout(digits, k))
-                if (got.lo, got.hi) != expected:
-                    return f"d={digits}: cell {k} steps to {got.lo}..{got.hi}, not {expected[0]}..{expected[1]}"
-        return None
+        got = readout.successors(readout.Readout(digits, k))
+        if k == 10**digits:
+            return (got.lo, got.hi) == (0, 0)
+        near, far = (readout.measure(baker.step(Fraction(j, 10**digits)), digits).index for j in (k, k + 1))
+        return (got.lo, got.hi) == ((near, far - 1) if near < far else (far, near))
 
-    def witness_completeness() -> str | None:
-        for digits in depths:
-            for k in range(10**digits + 1):
-                m = readout.Readout(digits, k)
-                claimed = readout.successors(m)
-                witnesses = readout.successor_witnesses(m)
-                if set(witnesses) != set(claimed.members):
-                    return f"d={digits}: cell {k} lacks witnesses for some successors"
-                for target, x in witnesses.items():
-                    if readout.measure(x, digits).index != k:
-                        return f"d={digits}: witness for {k}->{target} left the cell"
-                    if readout.measure(baker.step(x), digits).index != target:
-                        return f"d={digits}: witness for {k}->{target} does not certify"
-        return None
+    def witnessed(digits: int, k: int) -> bool:
+        m = readout.Readout(digits, k)
+        witnesses = readout.successor_witnesses(m)
+        return set(witnesses) == set(readout.successors(m).members) and all(
+            readout.measure(x, digits).index == k and readout.measure(baker.step(x), digits).index == target
+            for target, x in witnesses.items()
+        )
 
-    def reach_recurrence() -> str | None:
+    def starts() -> Iterator[tuple[int, int, int]]:
         if gate:  # every start at d <= 2 for 13 steps; the ends and a sample at d = 3 for 6
             runs = ((1, range(11), 13), (2, range(101), 13), (3, [0, 1000, *rng.sample(range(1, 1000), 6)], 6))
         else:
             runs = ((1, range(11), 6), (2, [0, 13, 50, 77, 100], 6))
-        for digits, starts, steps in runs:
-            table = dict(readout.relation_table(digits))
-            for k in starts:
-                m = readout.Readout(digits, k)
-                rebuilt = {k}
-                for n in range(steps + 1):
-                    direct = set(readout.reach(m, n).members)
-                    if direct != rebuilt:
-                        return f"d={digits}: reach recurrence failed at start {k}, n={n}"
-                    rebuilt = set().union(*(table[j].members for j in direct))
-        return None
+        for digits, ks, steps in runs:
+            yield from ((digits, k, steps) for k in ks)
+
+    def recurs(digits: int, k: int, steps: int) -> bool:
+        m = readout.Readout(digits, k)
+        reached = [set(readout.reach(m, n).members) for n in range(steps + 1)]
+        stepped = (set().union(*(table(digits)[j].members for j in before)) for before in reached)
+        return reached[0] == {k} and all(after == want for after, want in zip(reached[1:], stepped))
 
     return [
-        _check("readout: successor runs are the readouts of each cell's exact image", successor_runs),
-        _check("readout: every claimed successor has a certifying witness", witness_completeness),
-        _check("readout: n-step reach satisfies its recurrence", reach_recurrence),
+        _check("readout: successor runs are the readouts of each cell's exact image", cells(), successor_run),
+        _check("readout: every claimed successor has a certifying witness",
+               ((digits, k) for digits in depths for k in range(10**digits + 1)), witnessed),
+        _check("readout: n-step reach satisfies its recurrence", starts(), recurs),
     ]
 
 
@@ -531,43 +422,22 @@ def readout_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult
 
 def dissipative_checks(seed: int, fuel: int, gate: bool = False) -> list[CheckResult]:
     rng = random.Random(seed)
+    eps = Fraction(1, 10**6)
 
-    def convergence_bound() -> str | None:
-        for delta in (Fraction(1, 10), Fraction(1, 100)):
-            ceiling = 1 - delta
-            for _ in range(40):
-                x = ceiling * Fraction(rng.randrange(10**4 + 1), 10**4)
-                for n in (1, 3, 4, 6, 8, 9):
-                    eps = Fraction(1, 10**6)
-                    if dissipative.iterate_approx(x, n, eps) > ceiling ** (2**n) + eps:
-                        return f"approximation exceeded the decay bound at {format_rational(x)}"
-        return None
-
-    def witness_family() -> str | None:
-        for j in range(1, 10):
-            eta = Fraction(1, 10**j)
-            w = dissipative.discontinuity_witness(eta)
-            limit_gap = abs(dissipative.limit_state(w.x) - dissipative.limit_state(w.x_alt))
-            if w.gap != 1 or limit_gap != 1:
-                gaps = f"{format_rational(w.gap)}, limit gap {format_rational(limit_gap)}"
-                return f"eta=10^-{j}: gap {gaps} != 1"
-            if abs(w.x - w.x_alt) > eta:
-                return f"eta=10^-{j}: witness pair too far apart"
-        return None
-
-    def finite_date_rules() -> str | None:
-        for n in range(7):
-            report = realfn.check_modulus(
-                dissipative.as_real_fn(n), lambda q, n=n: q ** (2**n), 300, seed
-            )
-            if not report.ok:
-                return f"date {n}: {report.failures[0]}"
-        return None
+    def gapped(j: int) -> bool:
+        w = dissipative.discontinuity_witness(Fraction(1, 10**j))
+        limit_gap = abs(dissipative.limit_state(w.x) - dissipative.limit_state(w.x_alt))
+        return w.gap == 1 and limit_gap == 1 and abs(w.x - w.x_alt) <= Fraction(1, 10**j)
 
     return [
-        _check("dissipative: iterates respect the decay bound", convergence_bound),
-        _check("dissipative: discontinuity witnesses all achieve gap 1", witness_family),
-        _check("dissipative: finite-date accuracy rules certified", finite_date_rules),
+        _check("dissipative: iterates respect the decay bound",
+               ((ceiling, x, n) for ceiling in (Fraction(9, 10), Fraction(99, 100))
+                for x in [ceiling * Fraction(rng.randrange(10**4 + 1), 10**4) for _ in range(40)]
+                for n in (1, 3, 4, 6, 8, 9)),
+               lambda ceiling, x, n: dissipative.iterate_approx(x, n, eps) <= ceiling ** (2**n) + eps),
+        _check("dissipative: discontinuity witnesses all achieve gap 1", zip(range(1, 10)), gapped),
+        _check("dissipative: finite-date accuracy rules certified", zip(range(7)),
+               lambda n: _certified(dissipative.as_real_fn(n), lambda q: q ** (2**n), 300, seed)),
     ]
 
 

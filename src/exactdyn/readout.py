@@ -220,6 +220,7 @@ def successor_witnesses(m: Readout) -> dict[int, Fraction]:
 
 def relation_table(digits: int) -> list[tuple[int, SuccessorSet]]:
     """Successor sets for every readout index, ascending."""
+    _require_digits(digits)
     return [
         (k, successors(Readout(digits, k))) for k in range(10**digits + 1)
     ]

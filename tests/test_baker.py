@@ -33,8 +33,9 @@ def test_iterate_examples():
     assert baker.iterate(x, 0) == x
     assert baker.iterate(Fraction(1, 48), 4) == Fraction(1, 3)
     assert baker.iterate(Fraction(1, 16), 4) == 1
-    with pytest.raises(DomainError):
-        baker.iterate(x, -1)
+    for refused in (lambda: baker.iterate(x, -1), lambda: baker.orbit(x, -1), lambda: baker.as_real_fn(-1)):
+        with pytest.raises(DomainError, match="step count must be non-negative"):
+            refused()
 
 
 def test_orbit_matches_iterate():

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from exactdyn import baker, checks, cli, grid, readout
+from exactdyn import baker, checks, cli, dissipative, grid, readout
 from exactdyn.encoding import Encoding, encode_rational
+from exactdyn.rational import truncate_decimal
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("plain", "structured")
@@ -59,6 +60,10 @@ def test_exit_codes():
     assert run_cli("no-such-command")[0] == 1
     assert run_cli("baker-step", "--x", "3/2")[0] == 2
     assert run_cli("--fuel", "-3", "check")[0] == 1  # a usage error, not three failing checks
+    assert run_cli() == cli_output("plain", "usage_error", message="a subcommand is required (see --help)")
+    message = "argument --encoding: unknown encoding 'bogus' (canonical or alternative)"
+    assert run_cli("encode", "--rational", "1/2", "--encoding", "bogus") == cli_output("plain", "usage_error",
+                                                                                      message=message)
 
 
 def test_encode_decode_translate_are_thin_adapters():
@@ -192,6 +197,8 @@ def test_readout_text_must_have_exactly_d_digits():
 
 def test_negative_decimals_is_a_usage_error():
     assert run_cli("--decimals", "-1", "baker-step", "--x", "1/3")[0] == 1
+    with pytest.raises(ValueError, match="digits must be >= 0"):  # and the library refuses them too
+        truncate_decimal(Fraction(1, 3), -1)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -207,11 +214,14 @@ def test_negative_decimals_is_a_usage_error():
         pytest.param(("decode", "--code", "abc"), "argument --code: invalid int value: 'abc'", id="letters-code"),
         pytest.param(("encode", "--rational", " 1/3 "), "argument --rational: not a rational: ' 1/3 '",
                      id="padded-rational"),
+        pytest.param(("encode", "--rational", "1/0"), "argument --rational: zero denominator: '1/0'",
+                     id="zero-denominator"),
     ],
 )
 def test_argv_numbers_are_ascii_decimal(argv, message, fmt):
     # Arabic-Indic digits, which a regex \d accepts, "_" separators, which int() accepts,
-    # and surrounding whitespace, which int() strips; argv errors render plain in either format
+    # surrounding whitespace, which int() strips, and a zero denominator, which Fraction() raises
+    # ZeroDivisionError on; argv errors render plain in either format
     assert run_cli("--format", fmt, *argv) == cli_output("plain", "usage_error", message=message)
 
 
@@ -389,6 +399,32 @@ def test_check_with_too_little_fuel_reports_no_failure():
         ["OUT_OF_FUEL", "murec: corpus agrees with built-in arithmetic"],
         ["OUT_OF_FUEL", "murec: minimization returns least witnesses"],
     ]
+
+
+def _unpair_raises(c):
+    raise ArithmeticError("no inverse")
+
+
+_WINDOW = "encoding: pairing bijectivity window"
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, failing, detail",
+    [
+        (checks, "pair", lambda n, p: 0, _WINDOW, "fails at 1"),
+        (checks, "unpair", _unpair_raises, _WINDOW, "raised ArithmeticError('no inverse')"),
+        (dissipative, "as_real_fn", baker.as_real_fn, "dissipative: finite-date accuracy rules certified",
+         "fails at 1: eps=1/100 x=1 q=1: |1 - 0| = 1 > eps"),
+    ],
+    ids=["rejected-case", "raised", "rejected-accuracy-rule"],
+)
+def test_a_failing_check_names_its_first_failing_case(monkeypatch, module, name, broken, failing, detail):
+    # each break reaches one check: only the pairing window calls the suite's own pair and unpair, and 1 is
+    # the first code whose round trip breaks; the doubling map's rule is no rule for squaring from date 1
+    monkeypatch.setattr(module, name, broken)
+    lines = (GOLDEN / "check_seed0.txt").read_text().splitlines()[2:]
+    rows = [("FAIL", failing, detail) if line == f"PASS\t{failing}" else tuple(line.split("\t")) for line in lines]
+    assert run_cli("check") == cli_output("plain", "domain_error", {"passed": 29, "failed": 1}, tuple(rows))
 
 
 _LOADED_PROBE = """\

@@ -129,8 +129,14 @@ def test_first_date_below_edges():
     assert dissipative.first_date_below(Fraction(0), Fraction(1, 2), 0) == 0
     assert dissipative.first_date_below(Fraction(1), Fraction(1, 2), 12) is None
     assert dissipative.first_date_below(Fraction(1, 2), Fraction(1), 5) == 0
-    with pytest.raises(DomainError):
-        dissipative.first_date_below(Fraction(9, 10), Fraction(0), 5)
+    x = Fraction(9, 10)
+    for refused, message in (
+        (lambda: dissipative.first_date_below(x, Fraction(0), 5), "threshold must be positive"),
+        (lambda: dissipative.first_date_below(x, Fraction(1, 2), -1), "date bound must be non-negative"),
+        (lambda: dissipative.as_real_fn(-1), "date must be non-negative"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            refused()
 
 
 def test_discontinuity_witness_examples():

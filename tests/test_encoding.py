@@ -39,6 +39,8 @@ def test_encode_examples(value, code):
 
 
 def test_decode_rejects_non_codes():
+    with pytest.raises(NotACodeError, match="-1 is negative"):
+        decode_rational(-1)
     # unpair(3) = (2, 0): denominator 0
     with pytest.raises(NotACodeError):
         decode_rational(3)

@@ -34,6 +34,8 @@ def test_arity_examples():
     assert arity(Proj(5, 2)) == 5
     assert arity(ADD) == 2
     assert arity(Mu(Proj(2, 2))) == 1
+    with pytest.raises(IllFormedError, match="not a term"):
+        arity(object())
 
 
 @pytest.mark.parametrize(
@@ -93,6 +95,8 @@ def test_eval_arity_mismatch():
         evaluate(ADD, (3,), FUEL)
     with pytest.raises(ArityMismatchError):
         evaluate(ADD, (3, -1), FUEL)
+    with pytest.raises(ValueError, match="fuel must be non-negative"):
+        evaluate(ADD, (3, 4), -1)
 
 
 # --- the compiled evaluator against the recursive one it replaced ---

@@ -165,6 +165,7 @@ def test_min_reach_count_bounds_every_run():
         (lambda: min_reach_count(3, -1), "step count must be non-negative"),
         (lambda: settling_steps(0), "digits 0 must be >= 1"),
         (lambda: settling_steps(-1), "digits -1 must be >= 1"),
+        (lambda: relation_table(-1), "digits -1 must be >= 1"),
     ):
         with pytest.raises(DomainError, match=message):
             refused()
